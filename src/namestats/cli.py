@@ -2,11 +2,16 @@
 
 Subcommands: ingest, stats, comm, fit, samplevar, conquest, simulate.
 Exit codes: 0 success; 1 parse/usage failure; 2 insufficient distinct
-names (or too few fit points); 3 divergent other-names mass in C1.
+names (or too few fit points), naming every cohort that fails; 3 divergent
+other-names mass in C1.
 
-Reports are written to --out (default stdout) and are byte-identical
-across runs and across --threads settings: worker results merge in
-(cohort span, sex) order regardless of completion order.
+stats, comm and fit read the record file in one streaming pass that
+parses, filters and standardizes each row once and counts it into a
+birth-year cohort index, so memory grows with distinct names times birth
+years, not with rows; every cohort is then read from the index.  Reports
+are written to --out (default stdout) in (cohort span, sex) order and are
+byte-identical across runs.  --threads is accepted (it must be >= 1) and
+has no effect.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import argparse
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import corpus, reports, synth
@@ -78,7 +82,8 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-count", type=int, default=5)
     parser.add_argument("--format", choices=("csv", "markdown"), default="csv")
     parser.add_argument("--out", metavar="PATH", default=None)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
 
 
 def _record_flags(parser: argparse.ArgumentParser) -> None:
@@ -153,14 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _map_ordered(fn, items, threads: int):
-    """Apply fn over items, preserving input order regardless of threads."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_table(args) -> CodingTable:
     if args.coding_table is None:
         return CodingTable()
@@ -168,24 +165,48 @@ def _load_table(args) -> CodingTable:
         return load_coding_table(fh, version_id=Path(args.coding_table).name)
 
 
-def _load_corpus(args, table: CodingTable):
-    policy = FilterPolicy(
+def _policy(args) -> FilterPolicy:
+    return FilterPolicy(
         generic_names=corpus.DEFAULT_GENERIC_NAMES | {g.upper() for g in args.generic},
         require_native_born=args.require_native_born,
     )
+
+
+def _read_records(args, read):
+    """``read`` applied to the open --records file."""
     try:
         with open(args.records, encoding="utf-8", newline="") as fh:
-            parsed = corpus.parse_records(fh)
+            return read(fh)
     except OSError as exc:
         raise CliError(f"cannot read {args.records}: {exc}", EXIT_PARSE)
-    filtered = corpus.filter_records(parsed.records, policy, table)
-    if parsed.rejected or filtered.rejected:
+
+
+def _note_rejects(parse_rejected: list, filter_rejected: list) -> None:
+    if parse_rejected or filter_rejected:
         print(
-            f"note: rejected {len(parsed.rejected)} rows at parse, "
-            f"{len(filtered.rejected)} at filter",
+            f"note: rejected {len(parse_rejected)} rows at parse, "
+            f"{len(filter_rejected)} at filter",
             file=sys.stderr,
         )
+
+
+def _load_corpus(args, table: CodingTable):
+    parsed = _read_records(args, corpus.parse_records)
+    filtered = corpus.filter_records(parsed.records, _policy(args), table)
+    _note_rejects(parsed.rejected, filtered.rejected)
     return parsed, filtered
+
+
+def _load_index(args, table: CodingTable) -> corpus.CohortIndex:
+    """Parse, filter, standardize and index --records in one streaming pass."""
+
+    def scan_and_index(fh):
+        scan = corpus.RecordScan(fh, _policy(args), table)
+        return scan, corpus.CohortIndex(scan, args.marriage_age, args.adult_age)
+
+    scan, index = _read_records(args, scan_and_index)
+    _note_rejects(scan.parse_rejected, scan.filter_rejected)
+    return index
 
 
 def _write(args, text: str) -> None:
@@ -219,66 +240,66 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _cmd_stats(args) -> int:
-    table = _load_table(args)
-    _, filtered = _load_corpus(args, table)
+def _each_cohort(args, evaluate) -> list[tuple[str, str, object]]:
+    """``(label, sex, evaluate(cohort))`` for every --span and sex, in that order.
+
+    Every cohort is evaluated.  When any has too few distinct names or fit
+    points, one exit-2 error names each of them, and no report is written.
+    """
+    index = _load_index(args, _load_table(args))
     jobs = sorted(
         ((span, sex) for span in args.span for sex in _sexes(args.sex)),
         key=lambda job: (job[0], job[1].value),
     )
-
-    def one(job):
-        span, sex = job
+    rows, failures = [], []
+    for span, sex in jobs:
         spec = _spec(args, sex, span)
-        cohort = corpus.build_cohort(filtered.kept, spec, table)
-        return (spec.label, sex.value, summarize(cohort, args.k))
+        try:
+            rows.append((spec.label, sex.value, evaluate(index.cohort(spec))))
+        except (InsufficientDistinctNamesError, InsufficientPointsError) as exc:
+            failures.append(f"  cohort {spec.label} sex {sex.value}: {exc}")
+    if failures:
+        raise CliError(
+            f"error: {len(failures)} of {len(jobs)} cohorts failed:\n"
+            + "\n".join(failures),
+            EXIT_INSUFFICIENT,
+        )
+    return rows
 
-    rows = _map_ordered(one, jobs, args.threads)
+
+def _cmd_stats(args) -> int:
+    rows = _each_cohort(args, lambda cohort: summarize(cohort, args.k))
     _write(args, reports.render_summaries(rows, args.format))
     return EXIT_OK
 
 
 def _cmd_comm(args) -> int:
-    table = _load_table(args)
-    _, filtered = _load_corpus(args, table)
+    index = _load_index(args, _load_table(args))
     years = args.years
     if years is None:
         mid1 = (args.span1[0] + args.span1[1]) / 2
         mid2 = (args.span2[0] + args.span2[1]) / 2
         years = mid2 - mid1 if mid2 > mid1 else None
 
-    def one(sex: Sex):
+    rows = []
+    for sex in _sexes(args.sex):
         spec1 = _spec(args, sex, args.span1)
         spec2 = _spec(args, sex, args.span2)
-        c1 = corpus.build_cohort(filtered.kept, spec1, table)
-        c2 = corpus.build_cohort(filtered.kept, spec2, table)
-        result = comm_all(c1, c2, args.k, years, args.t11)
-        return (f"{spec1.label}->{spec2.label}", sex.value, result)
-
-    rows = _map_ordered(one, _sexes(args.sex), args.threads)
+        result = comm_all(index.cohort(spec1), index.cohort(spec2), args.k, years, args.t11)
+        rows.append((f"{spec1.label}->{spec2.label}", sex.value, result))
     _write(args, reports.render_comm(rows, args.format))
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
-    table = _load_table(args)
-    _, filtered = _load_corpus(args, table)
-    jobs = sorted(
-        ((span, sex) for span in args.span for sex in _sexes(args.sex)),
-        key=lambda job: (job[0], job[1].value),
-    )
-
-    def one(job):
-        span, sex = job
-        spec = _spec(args, sex, span)
-        cohort = corpus.build_cohort(filtered.kept, spec, table)
+    def fit(cohort):
         ftable = frequency_table(cohort)
-        return (spec.label, sex.value, ftable, fit_rank_frequency(ftable, args.min_count))
+        return ftable, fit_rank_frequency(ftable, args.min_count)
 
-    rows = _map_ordered(one, jobs, args.threads)
-    _write(args, reports.render_fits([(l, s, f) for l, s, _, f in rows], args.format))
+    rows = _each_cohort(args, fit)
+    _write(args, reports.render_fits([(l, s, f) for l, s, (_, f) in rows], args.format))
     if args.chart is not None:
-        label, sex, ftable, _ = rows[0]
+        _, _, (ftable, _) = rows[0]
         series = loglog_series(ftable, min_count=1)
         Path(args.chart).write_text(
             reports.render_chart_series(series, "csv"), encoding="utf-8"

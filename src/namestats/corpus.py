@@ -4,6 +4,18 @@ The record file is a UTF-8 CSV with header
 ``name,sex,age,year,kind,location,native_born`` (sex codes F/M/U, empty
 string for absent optionals).  Malformed rows are collected with a reason
 rather than silently dropped so that sample construction stays auditable.
+
+:func:`iter_records` streams a record file: it maps the header to column
+positions once, then validates each row's fields once and yields a
+:class:`NameRecord` or a :class:`RejectedRow`, in input order.
+:class:`RecordScan` runs that stream through the inclusion filters and the
+coding table, truncating and coding each name once, and :class:`CohortIndex`
+counts the kept rows by (birth year, corrected sex, standardized name) in
+the same pass.  Every cohort for the index's default ages is then a sum
+over year buckets, so memory grows with distinct names times birth years,
+not with rows.  :func:`parse_records`, :func:`filter_records` and
+:func:`build_cohort` are the list-based and per-cohort forms of the same
+steps.
 """
 
 from __future__ import annotations
@@ -12,14 +24,14 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .standardize import (
-    MAX_NAME_LEN,
     CodingTable,
     Sex,
     apply_coding,
     correct_sex,
+    leading_letters,
     truncate_name,
 )
 
@@ -48,6 +60,14 @@ class RecordKind(Enum):
     ADULT_ROSTER = "adult_roster"
     BIRTH_REGISTER = "birth_register"
     OTHER = "other"
+
+
+# field codes after strip(); sex codes are matched upper-cased, the others lower-cased
+_SEX_CODES = {"": Sex.UNKNOWN, **{sex.value: sex for sex in Sex}}
+_KINDS = {"": RecordKind.OTHER, **{kind.value: kind for kind in RecordKind}}
+_NATIVE_BORN = {
+    "": None, "true": True, "1": True, "yes": True, "false": False, "0": False, "no": False,
+}
 
 
 @dataclass(frozen=True)
@@ -149,64 +169,80 @@ class FilterResult:
     rejected: list[tuple[NameRecord, str]]
 
 
-def _parse_row(row: dict[str, str]) -> NameRecord | RejectedRow:
-    fields = {col: (row.get(col) or "").strip() for col in RECORD_HEADER}
-
-    name = fields["name"]
+def _parse_fields(fields: list[str]) -> NameRecord | str:
+    """A record from stripped fields in ``RECORD_HEADER`` order, or a reject reason."""
+    name, sex_code, age_text, year_text, kind_text, location, native_text = fields
     if not name:
-        return RejectedRow(fields, "empty_name")
-
+        return "empty_name"
+    sex = _SEX_CODES.get(sex_code.upper())
+    if sex is None:
+        return "bad_sex"
     try:
-        sex = Sex.from_code(fields["sex"])
+        year = int(year_text)
     except ValueError:
-        return RejectedRow(fields, "bad_sex")
-
-    try:
-        year = int(fields["year"])
-    except ValueError:
-        return RejectedRow(fields, "bad_year")
+        return "bad_year"
     if not YEAR_MIN <= year <= YEAR_MAX:
-        return RejectedRow(fields, "bad_year")
-
-    age: int | None
-    if fields["age"] == "":
-        age = None
-    else:
+        return "bad_year"
+    age: int | None = None
+    if age_text:
         try:
-            age = int(fields["age"])
+            age = int(age_text)
         except ValueError:
-            return RejectedRow(fields, "bad_age")
+            return "bad_age"
         if not AGE_MIN <= age <= AGE_MAX:
-            return RejectedRow(fields, "bad_age")
-
-    if fields["kind"] == "":
-        kind = RecordKind.OTHER
-    else:
-        try:
-            kind = RecordKind(fields["kind"].lower())
-        except ValueError:
-            return RejectedRow(fields, "bad_kind")
-
-    native: bool | None
-    nb = fields["native_born"].lower()
-    if nb == "":
-        native = None
-    elif nb in ("true", "1", "yes"):
-        native = True
-    elif nb in ("false", "0", "no"):
-        native = False
-    else:
-        return RejectedRow(fields, "bad_native_born")
-
+            return "bad_age"
+    kind = _KINDS.get(kind_text.lower())
+    if kind is None:
+        return "bad_kind"
+    native_text = native_text.lower()
+    if native_text not in _NATIVE_BORN:
+        return "bad_native_born"
     return NameRecord(
-        raw_name=name,
-        sex=sex,
-        record_year=year,
-        record_kind=kind,
-        age=age,
-        location=fields["location"] or None,
-        native_born=native,
+        name, sex, year, kind, age, location or None, _NATIVE_BORN[native_text]
     )
+
+
+def _iter_rows(reader, header: list[str]) -> Iterator[NameRecord | RejectedRow]:
+    # a repeated column name reads its last occurrence, as csv.DictReader does
+    position = {col: i for i, col in enumerate(header)}
+    width = len(header)
+    # absent optional columns read the empty field appended to each full row
+    columns = [position.get(col, width) for col in RECORD_HEADER]
+    for row in reader:
+        if len(row) != width:
+            if row:  # a blank line is skipped, not rejected
+                yield RejectedRow(
+                    {col: row[i] if (i := position.get(col, len(row))) < len(row) else ""
+                     for col in RECORD_HEADER},
+                    "malformed_row",
+                )
+            continue
+        row.append("")
+        fields = [row[i].strip() for i in columns]
+        parsed = _parse_fields(fields)
+        if isinstance(parsed, str):
+            yield RejectedRow(dict(zip(RECORD_HEADER, fields)), parsed)
+        else:
+            yield parsed
+
+
+def iter_records(stream: IO[str]) -> Iterator[NameRecord | RejectedRow]:
+    """Stream a record CSV: each non-blank row as a record or a reject, in order.
+
+    A row whose field count differs from the header's is rejected as
+    ``malformed_row`` with its unstripped field texts; any other reject
+    keeps the stripped texts.  The header is read when this function is
+    called, and :class:`ParseError` raised then, for stream-level
+    problems: no header, or the mandatory name/sex/year columns missing.
+    """
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("record file is empty")
+    missing = set(MANDATORY_COLUMNS) - set(header)
+    if missing:
+        raise ParseError(f"record file missing mandatory columns: {sorted(missing)}")
+    return _iter_rows(reader, header)
 
 
 def parse_records(stream: IO[str]) -> ParseResult:
@@ -215,42 +251,41 @@ def parse_records(stream: IO[str]) -> ParseResult:
     Raises :class:`ParseError` only for stream-level problems: no header,
     or the mandatory name/sex/year columns missing.
     """
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise ParseError("record file is empty")
-    missing = set(MANDATORY_COLUMNS) - set(reader.fieldnames)
-    if missing:
-        raise ParseError(f"record file missing mandatory columns: {sorted(missing)}")
-
     records: list[NameRecord] = []
     rejected: list[RejectedRow] = []
-    for row in reader:
-        if row.get(None) or any(v is None for k, v in row.items() if k is not None):
-            rejected.append(
-                RejectedRow(
-                    {col: (row.get(col) or "") for col in RECORD_HEADER},
-                    "malformed_row",
-                )
-            )
-            continue
-        parsed = _parse_row(row)
-        if isinstance(parsed, RejectedRow):
-            rejected.append(parsed)
-        else:
-            records.append(parsed)
+    for item in iter_records(stream):
+        (rejected if isinstance(item, RejectedRow) else records).append(item)
     return ParseResult(records, rejected)
 
 
-def _leading_letters(raw: str) -> str:
-    s = raw.strip().upper()
-    out = []
-    for ch in s:
-        if not ch.isalpha():
-            break
-        out.append(ch)
-        if len(out) == MAX_NAME_LEN:
-            break
-    return "".join(out)
+def filter_reason(
+    record: NameRecord,
+    letters: str,
+    policy: FilterPolicy,
+    table: CodingTable | None = None,
+) -> str | None:
+    """Why ``record`` is rejected, or None when it is kept.
+
+    ``letters`` is the record's truncated name, ``leading_letters(raw_name)``.
+    Reasons, checked in order: ``single_letter`` (fewer than two leading
+    letters), ``generic``, ``non_native`` (only when the policy requires
+    native birth; unknown birthplace counts as non-native), and
+    ``unparseable_sex`` (recorded sex unknown and the coding table, when
+    given, has no override for the standardized name).
+    """
+    if len(letters) == 0 or (policy.drop_single_letter and len(letters) == 1):
+        return "single_letter"
+    if letters in policy.generic_names:
+        return "generic"
+    if policy.require_native_born and record.native_born is not True:
+        return "non_native"
+    if record.sex is Sex.UNKNOWN:
+        resolved = Sex.UNKNOWN
+        if table is not None and len(letters) >= 2:
+            resolved = correct_sex(table, apply_coding(table, letters), Sex.UNKNOWN)
+        if resolved is Sex.UNKNOWN:
+            return "unparseable_sex"
+    return None
 
 
 def filter_records(
@@ -260,52 +295,78 @@ def filter_records(
 ) -> FilterResult:
     """Partition records into kept and rejected-with-reason.
 
-    Tests run on the truncated name.  Reasons, checked in order:
-    ``single_letter`` (fewer than two leading letters), ``generic``,
-    ``non_native`` (only when the policy requires native birth; unknown
-    birthplace counts as non-native), and ``unparseable_sex`` (recorded
-    sex unknown and the coding table, when given, has no override for the
-    standardized name).  Every input row appears in exactly one output.
+    Tests run on the truncated name, in the order :func:`filter_reason`
+    gives.  Every input row appears in exactly one output.
     """
     kept: list[NameRecord] = []
     rejected: list[tuple[NameRecord, str]] = []
     for record in records:
-        trunc = _leading_letters(record.raw_name)
-        if len(trunc) == 0 or (policy.drop_single_letter and len(trunc) == 1):
-            rejected.append((record, "single_letter"))
-            continue
-        if trunc in policy.generic_names:
-            rejected.append((record, "generic"))
-            continue
-        if policy.require_native_born and record.native_born is not True:
-            rejected.append((record, "non_native"))
-            continue
-        if record.sex is Sex.UNKNOWN:
-            resolved = Sex.UNKNOWN
-            if table is not None and len(trunc) >= 2:
-                std = apply_coding(table, trunc)
-                resolved = correct_sex(table, std, Sex.UNKNOWN)
-            if resolved is Sex.UNKNOWN:
-                rejected.append((record, "unparseable_sex"))
-                continue
-        kept.append(record)
+        reason = filter_reason(record, leading_letters(record.raw_name), policy, table)
+        if reason is None:
+            kept.append(record)
+        else:
+            rejected.append((record, reason))
     return FilterResult(kept, rejected)
 
 
-def assign_birth_year(record: NameRecord, spec: CohortSpec) -> int:
-    """Birth year from the age field, or from the record kind's default age."""
+class RecordScan:
+    """One streaming pass that parses, filters and standardizes each row once.
+
+    Iterating yields ``(record, name, sex)`` for each kept row in input
+    order: the parsed record, its standardized name and its sex after
+    coding-table correction.  Rejected rows collect in ``parse_rejected``
+    and ``filter_rejected`` as the pass reaches them, each in input order,
+    as :func:`parse_records` and :func:`filter_records` would reject them.
+    The header is read, and :class:`ParseError` raised, on construction.
+    The rows can be iterated once.
+    """
+
+    def __init__(self, stream: IO[str], policy: FilterPolicy, table: CodingTable):
+        self._items = iter_records(stream)
+        self._policy = policy
+        self._table = table
+        self.parse_rejected: list[RejectedRow] = []
+        self.filter_rejected: list[tuple[NameRecord, str]] = []
+
+    def __iter__(self) -> Iterator[tuple[NameRecord, str, Sex]]:
+        policy, table = self._policy, self._table
+        for item in self._items:
+            if isinstance(item, RejectedRow):
+                self.parse_rejected.append(item)
+                continue
+            letters = leading_letters(item.raw_name)
+            reason = filter_reason(item, letters, policy, table)
+            if reason is not None:
+                self.filter_rejected.append((item, reason))
+                continue
+            name = apply_coding(table, letters)
+            yield item, name, correct_sex(table, name, item.sex)
+
+
+def _birth_year(
+    record: NameRecord, default_age_marriage: int, default_age_adult: int
+) -> int | None:
     if record.age is not None:
         return record.record_year - record.age
     if record.record_kind is RecordKind.BIRTH_REGISTER:
         return record.record_year
     if record.record_kind is RecordKind.MARRIAGE:
-        return record.record_year - spec.default_age_marriage
+        return record.record_year - default_age_marriage
     if record.record_kind is RecordKind.ADULT_ROSTER:
-        return record.record_year - spec.default_age_adult
-    raise AgeUnresolvableError(
-        f"age_unresolvable: {record.record_kind.value} record of {record.raw_name!r} "
-        f"in {record.record_year} has no age and no default applies"
-    )
+        return record.record_year - default_age_adult
+    return None
+
+
+def assign_birth_year(record: NameRecord, spec: CohortSpec) -> int:
+    """Birth year from the age field, or from the record kind's default age."""
+    birth_year = _birth_year(record, spec.default_age_marriage, spec.default_age_adult)
+    if birth_year is None:
+        raise AgeUnresolvableError(
+            f"age_unresolvable: {record.record_kind.value} record of "
+            f"{record.raw_name!r} in {record.record_year} has no age and no "
+            f"default applies"
+        )
+    return birth_year
 
 
 def build_cohort(
@@ -319,13 +380,16 @@ def build_cohort(
     span and its sex, after coding-table correction, equals the spec's
     sex.  Records whose birth year cannot be resolved can never match a
     span and are skipped.  The result is an order-independent multiset;
-    an empty cohort is returned rather than raised.
+    an empty cohort is returned rather than raised.  This scans every
+    record for one spec; :class:`CohortIndex` serves many specs from one
+    pass.
     """
     names: Counter = Counter()
     for record in records:
-        try:
-            birth_year = assign_birth_year(record, spec)
-        except AgeUnresolvableError:
+        birth_year = _birth_year(
+            record, spec.default_age_marriage, spec.default_age_adult
+        )
+        if birth_year is None:
             continue
         if not spec.birth_year_start <= birth_year <= spec.birth_year_end:
             continue
@@ -333,6 +397,45 @@ def build_cohort(
         if correct_sex(table, std, record.sex) is spec.sex:
             names[std] += 1
     return Cohort(spec, names)
+
+
+class CohortIndex:
+    """Standardized-name counts by birth year and corrected sex.
+
+    Built in one pass over ``(record, name, sex)`` triples, as
+    :class:`RecordScan` yields them, for one pair of default ages.  A
+    cohort whose spec has those defaults is then a sum over the year
+    buckets in its span, equal to :func:`build_cohort` over the same
+    records.  Records whose birth year cannot be resolved are not counted.
+    """
+
+    def __init__(
+        self,
+        kept: Iterable[tuple[NameRecord, str, Sex]],
+        default_age_marriage: int = 25,
+        default_age_adult: int = 35,
+    ):
+        self.default_ages = (default_age_marriage, default_age_adult)
+        self._buckets: dict[tuple[int, Sex], dict[str, int]] = {}
+        for record, name, sex in kept:
+            birth_year = _birth_year(record, default_age_marriage, default_age_adult)
+            if birth_year is None:
+                continue
+            bucket = self._buckets.setdefault((birth_year, sex), {})
+            bucket[name] = bucket.get(name, 0) + 1
+
+    def cohort(self, spec: CohortSpec) -> Cohort:
+        """The cohort for ``spec``; its default ages must be the index's."""
+        ages = (spec.default_age_marriage, spec.default_age_adult)
+        if ages != self.default_ages:
+            raise ValueError(
+                f"spec default ages {ages} differ from the index's {self.default_ages}"
+            )
+        names: Counter = Counter()
+        for (birth_year, sex), bucket in self._buckets.items():
+            if sex is spec.sex and spec.birth_year_start <= birth_year <= spec.birth_year_end:
+                names.update(bucket)
+        return Cohort(spec, names)
 
 
 def standardized_record(record: NameRecord, table: CodingTable) -> NameRecord:

@@ -92,26 +92,33 @@ def is_standard_name(text: str) -> bool:
     )
 
 
-def truncate_name(raw: str) -> str:
+def leading_letters(raw: str) -> str:
     """Upper-case ``raw`` and keep the leading letters, at most eight.
 
     The prefix ends at the earlier of the eighth letter and the character
     before the first non-alphabetic character.  Unicode letters count as
-    letters.  Raises :class:`StandardizationError` when the name has no
-    leading letters at all (the single-letter case is a filtering matter,
-    not a truncation error).
+    letters.  Returns the empty string when ``raw`` has no leading letters.
     """
-    s = raw.strip().upper()
-    out = []
-    for ch in s:
+    head = raw.strip().upper()[:MAX_NAME_LEN]
+    if head.isalpha():
+        return head
+    for i, ch in enumerate(head):
         if not ch.isalpha():
-            break
-        out.append(ch)
-        if len(out) == MAX_NAME_LEN:
-            break
+            return head[:i]
+    return head
+
+
+def truncate_name(raw: str) -> str:
+    """:func:`leading_letters`, raising when there are none.
+
+    Raises :class:`StandardizationError` when the name has no leading
+    letters at all (the single-letter case is a filtering matter, not a
+    truncation error).
+    """
+    out = leading_letters(raw)
     if not out:
         raise StandardizationError(f"no_leading_letters: {raw!r}")
-    return "".join(out)
+    return out
 
 
 def apply_coding(table: CodingTable, truncated: str) -> str:

@@ -72,6 +72,23 @@ class TestStats:
         assert code == 2
         assert "1870-1879" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("stats", ["--sex", "M"]),
+        ("fit", ["--sex", "F", "--min-count", "1000"]),
+    ])
+    def test_every_failing_cohort_named(self, mini_corpus, tmp_path, capsys,
+                                        command, flags):
+        code, text = run(
+            [command, "--records", str(mini_corpus), "--coding-table", DEMO_TABLE,
+             "--span", "1880:1889", "--span", "1870:1879", *flags],
+            tmp_path,
+        )
+        assert code == 2
+        assert text is None
+        err = capsys.readouterr().err
+        assert "2 of 2 cohorts failed" in err
+        assert err.index("1870-1879") < err.index("1880-1889")
+
     def test_multiple_spans_sorted(self, mini_corpus, tmp_path):
         code, text = run(
             ["stats", "--records", str(mini_corpus), "--coding-table", DEMO_TABLE,

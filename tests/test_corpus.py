@@ -1,7 +1,10 @@
+import csv
 import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from namestats import (
     AgeUnresolvableError,
@@ -19,8 +22,15 @@ from namestats import (
     parse_records,
     write_records,
 )
-from namestats.corpus import write_rejection_report
+from namestats.corpus import (
+    RECORD_HEADER,
+    CohortIndex,
+    RecordScan,
+    iter_records,
+    write_rejection_report,
+)
 
+import reference_corpus
 from conftest import records_csv
 
 
@@ -267,3 +277,135 @@ class TestInvariants:
     def test_span_order(self):
         with pytest.raises(ValueError):
             CohortSpec(Sex.FEMALE, 1900, 1800)
+
+
+def _cased(text: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    """Codes in upper, lower and title case, padded with blanks and tabs."""
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    case = st.sampled_from([str, str.upper, str.lower, str.title])
+    return st.builds(lambda pre, f, t, post: pre + f(t) + post, pad, case, text, pad)
+
+
+_JUNK = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=6,
+)
+_CELLS = {
+    "name": _cased(st.sampled_from(["Mary", "Maria", "J", "Mrs", "Widow Smith",
+                                    "Mary A", "123", "Zelda", ""])),
+    "sex": _cased(st.sampled_from(["F", "M", "U", ""] * 3 + ["X", "FM"])),
+    "age": _cased(st.sampled_from(["", "0", "5", "110", "111", "-1", "1.5",
+                                   "+7", "1_0", "abc"])),
+    "year": _cased(st.sampled_from(["1880", "1000", "2100", "1_880"] * 3
+                                   + ["999", "2101", "", "December", "18 80"])),
+    "kind": _cased(st.sampled_from([k.value for k in RecordKind] + ["", "tax_roll"])),
+    "location": _cased(st.sampled_from(["", "Leeds", "York, N.Y."])),
+    "native_born": _cased(st.sampled_from(["", "true", "1", "yes", "false", "0",
+                                           "no", "maybe"])),
+}
+
+
+@st.composite
+def record_files(draw) -> str:
+    """Record CSV text: shuffled, repeated, extra and missing columns, blank
+    lines, short and long rows, and code variants in every field."""
+    optional = [c for c in RECORD_HEADER if c not in ("name", "sex", "year")]
+    columns = draw(st.lists(st.sampled_from(optional + ["extra", "Name"]), max_size=6))
+    header = draw(st.permutations(["name", "sex", "year"] + columns))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "long"]))
+        if shape == "blank":
+            buf.write("\n")
+            continue
+        row = [draw(_JUNK if draw(st.integers(0, 9)) == 0 else _CELLS.get(col, _JUNK))
+               for col in header]
+        if shape == "short":
+            row = row[: draw(st.integers(0, len(row) - 1))] or [""]
+        elif shape == "long":
+            row += draw(st.lists(_JUNK, min_size=1, max_size=2))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def _outcome(parse, text):
+    try:
+        return parse(io.StringIO(text))
+    except (ParseError, csv.Error) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestStreamingParserMatchesReference:
+    @settings(max_examples=300)
+    @given(record_files())
+    def test_records_and_rejects_equal(self, text):
+        got = _outcome(parse_records, text)
+        assert got == _outcome(reference_corpus.parse_records, text)
+
+    @pytest.mark.parametrize("header", ["", "\n", "name,age\n", "Name,sex,year\n"])
+    def test_header_errors_equal(self, header):
+        text = header + "Mary,F,1880\n"
+        got = _outcome(parse_records, text)
+        assert got[0] == "ParseError"
+        assert got == _outcome(reference_corpus.parse_records, text)
+
+    def test_malformed_fields_unstripped(self):
+        (row,) = parse(records_csv([" Mary , F"])).rejected
+        assert row.reason == "malformed_row"
+        assert row.fields["name"] == " Mary "
+        assert row.fields["year"] == ""
+
+    def test_header_error_raised_before_iteration(self):
+        with pytest.raises(ParseError):
+            iter_records(io.StringIO("name,age\n"))
+
+
+_NAMES = ["Mary", "Maria", "Marion", "Frances", "Polly", "John", "Jno", "Zelda",
+          "Ann A.", "J", "Mrs", "widow", "St.John", "99"]
+
+
+@st.composite
+def name_records(draw) -> NameRecord:
+    return NameRecord(
+        raw_name=draw(st.sampled_from(_NAMES)),
+        sex=draw(st.sampled_from(list(Sex))),
+        record_year=draw(st.integers(1870, 1890)),
+        record_kind=draw(st.sampled_from(list(RecordKind))),
+        age=draw(st.one_of(st.none(), st.integers(0, 20))),
+        native_born=draw(st.sampled_from([None, True, False])),
+    )
+
+
+class TestCohortIndex:
+    @settings(max_examples=150)
+    @given(
+        records=st.lists(name_records(), max_size=40),
+        ages=st.tuples(st.integers(15, 40), st.integers(15, 40)),
+        spans=st.lists(st.tuples(st.integers(1840, 1895), st.integers(0, 30)),
+                       min_size=1, max_size=4),
+        native=st.booleans(),
+    )
+    def test_scan_index_equals_build_cohort(self, demo_table, records, ages, spans,
+                                            native):
+        policy = FilterPolicy(require_native_born=native)
+        buf = io.StringIO()
+        write_records(records, buf)
+        text = buf.getvalue()
+        parsed = parse_records(io.StringIO(text))
+        filtered = filter_records(parsed.records, policy, demo_table)
+
+        scan = RecordScan(io.StringIO(text), policy, demo_table)
+        index = CohortIndex(scan, *ages)
+        assert scan.parse_rejected == parsed.rejected
+        assert scan.filter_rejected == filtered.rejected
+        for start, width in spans:
+            for sex in Sex:
+                spec = CohortSpec(sex, start, start + width, *ages)
+                assert index.cohort(spec) == build_cohort(filtered.kept, spec, demo_table)
+
+    def test_other_default_ages_rejected(self):
+        index = CohortIndex([], default_age_marriage=25, default_age_adult=35)
+        with pytest.raises(ValueError, match="default ages"):
+            index.cohort(CohortSpec(Sex.FEMALE, 1870, 1879, default_age_marriage=27))

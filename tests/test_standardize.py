@@ -14,6 +14,9 @@ from namestats import (
     load_coding_table,
     truncate_name,
 )
+from namestats.standardize import leading_letters
+
+import reference_corpus
 
 
 class TestTruncateName:
@@ -55,6 +58,15 @@ class TestTruncateName:
         # length bound is relative to the upper-cased input
         assert len(out) <= len(raw.strip().upper())
         assert truncate_name(out) == out
+
+    @given(
+        st.sampled_from(["", " ", "\t "]),
+        st.text(max_size=16) | st.text(alphabet=st.characters(
+            categories=("Lu", "Ll", "Lo", "Nd", "No", "Nl", "P", "Z")), max_size=16),
+    )
+    def test_leading_letters_matches_loop(self, pad, text):
+        raw = pad + text
+        assert leading_letters(raw) == reference_corpus.leading_letters(raw)
 
 
 class TestApplyCoding:
