@@ -16,6 +16,7 @@ from .commstats import (
     comm_c2,
     comm_c3,
     comm_c4,
+    comm_from_pair,
     new_names,
     turnover_per_annum,
 )

@@ -1,17 +1,19 @@
 """Command-line pipeline: ingest -> standardize -> cohort -> statistics -> reports.
 
 Subcommands: ingest, stats, comm, fit, samplevar, conquest, simulate.
-Exit codes: 0 success; 1 parse/usage failure; 2 insufficient distinct
-names (or too few fit points), naming every cohort that fails; 3 divergent
-other-names mass in C1.
+Exit codes: 0 success; 1 parse/usage failure (including fit --chart with
+more than one cohort); 2 insufficient distinct names (or too few fit
+points), naming every cohort, or span1->span2 pair, that fails; 3
+divergent other-names mass in C1.
 
-stats, comm and fit read the record file in one streaming pass that
-parses, filters and standardizes each row once and counts it into a
-birth-year cohort index, so memory grows with distinct names times birth
-years, not with rows; every cohort is then read from the index.  Reports
-are written to --out (default stdout) in (cohort span, sex) order and are
-byte-identical across runs.  --threads is accepted (it must be >= 1) and
-has no effect.
+ingest, stats, comm and fit read the record file in one streaming pass
+that parses, filters and standardizes each row once.  ingest writes each
+kept row as the pass reaches it and keeps only the rejects; the others
+count each row into a birth-year cohort index, so memory grows with
+distinct names times birth years, not with rows, and every cohort is then
+read from the index.  Reports are written to --out (default stdout) in
+(cohort span, sex) order and are byte-identical across runs.  --threads
+is accepted (it must be >= 1) and has no effect.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import argparse
 import io
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import corpus, reports, synth
 from .commstats import DivergentOtherMassError, comm_all
-from .corpus import CohortSpec, FilterPolicy, ParseError
+from .corpus import CohortSpec, FilterPolicy, NameRecord, ParseError
 from .popstats import (
     InsufficientDistinctNamesError,
     frequency_table,
@@ -165,48 +168,27 @@ def _load_table(args) -> CodingTable:
         return load_coding_table(fh, version_id=Path(args.coding_table).name)
 
 
-def _policy(args) -> FilterPolicy:
-    return FilterPolicy(
+@contextmanager
+def _scan_records(args):
+    """A :class:`corpus.RecordScan` of --records under --coding-table and the
+    filter flags, for the body to consume; notes the reject counts after it."""
+    table = _load_table(args)
+    policy = FilterPolicy(
         generic_names=corpus.DEFAULT_GENERIC_NAMES | {g.upper() for g in args.generic},
         require_native_born=args.require_native_born,
     )
-
-
-def _read_records(args, read):
-    """``read`` applied to the open --records file."""
     try:
         with open(args.records, encoding="utf-8", newline="") as fh:
-            return read(fh)
+            scan = corpus.RecordScan(fh, policy, table)
+            yield scan
     except OSError as exc:
         raise CliError(f"cannot read {args.records}: {exc}", EXIT_PARSE)
-
-
-def _note_rejects(parse_rejected: list, filter_rejected: list) -> None:
-    if parse_rejected or filter_rejected:
+    if scan.parse_rejected or scan.filter_rejected:
         print(
-            f"note: rejected {len(parse_rejected)} rows at parse, "
-            f"{len(filter_rejected)} at filter",
+            f"note: rejected {len(scan.parse_rejected)} rows at parse, "
+            f"{len(scan.filter_rejected)} at filter",
             file=sys.stderr,
         )
-
-
-def _load_corpus(args, table: CodingTable):
-    parsed = _read_records(args, corpus.parse_records)
-    filtered = corpus.filter_records(parsed.records, _policy(args), table)
-    _note_rejects(parsed.rejected, filtered.rejected)
-    return parsed, filtered
-
-
-def _load_index(args, table: CodingTable) -> corpus.CohortIndex:
-    """Parse, filter, standardize and index --records in one streaming pass."""
-
-    def scan_and_index(fh):
-        scan = corpus.RecordScan(fh, _policy(args), table)
-        return scan, corpus.CohortIndex(scan, args.marriage_age, args.adult_age)
-
-    scan, index = _read_records(args, scan_and_index)
-    _note_rejects(scan.parse_rejected, scan.filter_rejected)
-    return index
 
 
 def _write(args, text: str) -> None:
@@ -227,37 +209,41 @@ def _spec(args, sex: Sex, span: tuple[int, int]) -> CohortSpec:
 
 
 def _cmd_ingest(args) -> int:
-    table = _load_table(args)
-    parsed, filtered = _load_corpus(args, table)
     buf = io.StringIO()
-    corpus.write_records(
-        (corpus.standardized_record(r, table) for r in filtered.kept), buf
-    )
+    with _scan_records(args) as scan:
+        corpus.write_records(
+            (
+                NameRecord(name, sex, r.record_year, r.record_kind, r.age,
+                           r.location, r.native_born)
+                for r, name, sex in scan
+            ),
+            buf,
+        )
     _write(args, buf.getvalue())
     if args.rejects is not None:
         with open(args.rejects, "w", encoding="utf-8", newline="") as fh:
-            corpus.write_rejection_report(parsed.rejected, filtered.rejected, fh)
+            corpus.write_rejection_report(scan.parse_rejected, scan.filter_rejected, fh)
     return EXIT_OK
 
 
-def _each_cohort(args, evaluate) -> list[tuple[str, str, object]]:
-    """``(label, sex, evaluate(cohort))`` for every --span and sex, in that order.
+def _each_cohort(args, jobs, evaluate) -> list[tuple[str, str, object]]:
+    """``(label, sex, evaluate(*cohorts))`` for each job, in order.
 
-    Every cohort is evaluated.  When any has too few distinct names or fit
-    points, one exit-2 error names each of them, and no report is written.
+    A job is a tuple of cohort specs of one sex; its label joins their
+    labels with "->".  Every job is evaluated.  When any has too few
+    distinct names or fit points, one exit-2 error names each of them,
+    and no report is written.
     """
-    index = _load_index(args, _load_table(args))
-    jobs = sorted(
-        ((span, sex) for span in args.span for sex in _sexes(args.sex)),
-        key=lambda job: (job[0], job[1].value),
-    )
+    with _scan_records(args) as scan:
+        index = corpus.CohortIndex(scan, args.marriage_age, args.adult_age)
     rows, failures = [], []
-    for span, sex in jobs:
-        spec = _spec(args, sex, span)
+    for specs in jobs:
+        label = "->".join(spec.label for spec in specs)
+        sex = specs[0].sex.value
         try:
-            rows.append((spec.label, sex.value, evaluate(index.cohort(spec))))
+            rows.append((label, sex, evaluate(*(index.cohort(spec) for spec in specs))))
         except (InsufficientDistinctNamesError, InsufficientPointsError) as exc:
-            failures.append(f"  cohort {spec.label} sex {sex.value}: {exc}")
+            failures.append(f"  cohort {label} sex {sex}: {exc}")
     if failures:
         raise CliError(
             f"error: {len(failures)} of {len(jobs)} cohorts failed:\n"
@@ -267,36 +253,49 @@ def _each_cohort(args, evaluate) -> list[tuple[str, str, object]]:
     return rows
 
 
+def _span_jobs(args) -> list[tuple[CohortSpec, ...]]:
+    """One single-cohort job per --span and sex, in (span, sex) order."""
+    spans = sorted(args.span)
+    return [(_spec(args, sex, span),) for span in spans for sex in _sexes(args.sex)]
+
+
 def _cmd_stats(args) -> int:
-    rows = _each_cohort(args, lambda cohort: summarize(cohort, args.k))
+    rows = _each_cohort(args, _span_jobs(args), lambda cohort: summarize(cohort, args.k))
     _write(args, reports.render_summaries(rows, args.format))
     return EXIT_OK
 
 
 def _cmd_comm(args) -> int:
-    index = _load_index(args, _load_table(args))
     years = args.years
     if years is None:
         mid1 = (args.span1[0] + args.span1[1]) / 2
         mid2 = (args.span2[0] + args.span2[1]) / 2
         years = mid2 - mid1 if mid2 > mid1 else None
 
-    rows = []
-    for sex in _sexes(args.sex):
-        spec1 = _spec(args, sex, args.span1)
-        spec2 = _spec(args, sex, args.span2)
-        result = comm_all(index.cohort(spec1), index.cohort(spec2), args.k, years, args.t11)
-        rows.append((f"{spec1.label}->{spec2.label}", sex.value, result))
+    jobs = [
+        (_spec(args, sex, args.span1), _spec(args, sex, args.span2))
+        for sex in _sexes(args.sex)
+    ]
+    rows = _each_cohort(
+        args, jobs, lambda c1, c2: comm_all(c1, c2, args.k, years, args.t11)
+    )
     _write(args, reports.render_comm(rows, args.format))
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
+    jobs = _span_jobs(args)
+    if args.chart is not None and len(jobs) > 1:
+        raise CliError(
+            f"fit: --chart needs one cohort (one --span, --sex F or M), got {len(jobs)}",
+            EXIT_PARSE,
+        )
+
     def fit(cohort):
         ftable = frequency_table(cohort)
         return ftable, fit_rank_frequency(ftable, args.min_count)
 
-    rows = _each_cohort(args, fit)
+    rows = _each_cohort(args, jobs, fit)
     _write(args, reports.render_fits([(l, s, f) for l, s, (_, f) in rows], args.format))
     if args.chart is not None:
         _, _, (ftable, _) = rows[0]

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .corpus import Cohort
-from .popstats import FrequencyTable, PopularityList, frequency_table, top_k
+from .popstats import FrequencyTable, PopularityList, field_means, frequency_table, top_k
 
 _EPS = 1e-12
 
@@ -97,6 +98,18 @@ class CommResult:
             raise ValueError("C1, C2, C4 must be non-negative")
         if self.c3 < self.c2 - 1e-9:
             raise ValueError("C3 must be at least C2")
+
+    @classmethod
+    def mean(cls, results: Sequence[CommResult]) -> CommResult:
+        """Field means of results sharing k; the fallback count is the largest."""
+        return cls(
+            k=results[0].k,
+            fallback_count=max(r.fallback_count for r in results),
+            **field_means(
+                results,
+                ("c1", "c2", "c3", "c4", "new_topk", "years_elapsed", "turnover_pa"),
+            ),
+        )
 
 
 def align(
@@ -205,6 +218,26 @@ def turnover_per_annum(new_count: float, years: float) -> float:
     return new_count / years
 
 
+def comm_from_pair(
+    pair: AlignedPair, new_topk: float, years_elapsed: float | None = None
+) -> CommResult:
+    """C1-C4 of an aligned pair, with the count of year 2's top names new
+    to year 1's top names and, given ``years_elapsed``, their turnover."""
+    return CommResult(
+        c1=comm_c1(pair),
+        c2=comm_c2(pair),
+        c3=comm_c3(pair),
+        c4=comm_c4(pair),
+        new_topk=new_topk,
+        years_elapsed=years_elapsed,
+        turnover_pa=(
+            None if years_elapsed is None else turnover_per_annum(new_topk, years_elapsed)
+        ),
+        k=pair.k,
+        fallback_count=sum(pair.fallback_used),
+    )
+
+
 def comm_all(
     cohort1: Cohort,
     cohort2: Cohort,
@@ -225,15 +258,4 @@ def comm_all(
     pair = align(list1, table1, list2, table2)
     if t11_override is not None:
         pair = replace(pair, t11=t11_override)
-    new = new_names(list1, list2)
-    return CommResult(
-        c1=comm_c1(pair),
-        c2=comm_c2(pair),
-        c3=comm_c3(pair),
-        c4=comm_c4(pair),
-        new_topk=new,
-        years_elapsed=years_elapsed,
-        turnover_pa=None if years_elapsed is None else turnover_per_annum(new, years_elapsed),
-        k=k,
-        fallback_count=sum(pair.fallback_used),
-    )
+    return comm_from_pair(pair, new_names(list1, list2), years_elapsed)

@@ -120,6 +120,22 @@ class PopularitySummary:
         if not -_EPS <= self.info_is <= math.log2(self.k) + _EPS:
             raise ValueError(f"info_is outside [0, log2({self.k})]")
 
+    @classmethod
+    def mean(cls, summaries: Sequence[PopularitySummary]) -> PopularitySummary:
+        """Field means of summaries sharing k and spec; top name of the largest sample."""
+        first = summaries[0]
+        if any(s.spec != first.spec for s in summaries):
+            raise ValueError("mismatched cohort specs")
+        largest = max(summaries, key=lambda s: s.sample_size)
+        return cls(
+            top_name=largest.top_name,
+            k=first.k,
+            spec=first.spec,
+            **field_means(
+                summaries, ("top_pop", "topk_pop", "info_is", "sample_size", "new_topk")
+            ),
+        )
+
 
 class SamplingVariability(NamedTuple):
     expected: float
@@ -132,16 +148,20 @@ def frequency_table(cohort: Cohort) -> FrequencyTable:
     return FrequencyTable(dict(cohort.names), cohort.sample_size)
 
 
+def ranked(counts: dict[str, int]) -> list[tuple[str, int]]:
+    """``(name, count)`` pairs in rank order: count descending, ties by ascending name."""
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
 def top_k(table: FrequencyTable, k: int = 10) -> PopularityList:
     """The k most popular names by count, ties broken by ascending name."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(table.counts) < k:
         raise InsufficientDistinctNamesError(k, len(table.counts))
-    ranked = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
     entries = tuple(
         PopularityEntry(j, name, count / table.sample_size)
-        for j, (name, count) in enumerate(ranked, start=1)
+        for j, (name, count) in enumerate(ranked(table.counts)[:k], start=1)
     )
     return PopularityList(k, entries)
 
@@ -194,61 +214,30 @@ def name_popularity(table: FrequencyTable, name: str) -> float:
     return table.counts.get(name, 0) / table.sample_size
 
 
-def _mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
-
-
-def _mean_optional(values: Sequence[float | None]) -> float | None:
-    if any(v is None for v in values):
-        return None
-    return _mean([v for v in values if v is not None])
+def field_means(items: Sequence, names: Sequence[str]) -> dict[str, float | None]:
+    """Full-precision mean of each named field; None where any item has None."""
+    means: dict[str, float | None] = {}
+    for name in names:
+        values = [getattr(item, name) for item in items]
+        means[name] = None if None in values else math.fsum(values) / len(values)
+    return means
 
 
 def average_summaries(summaries: Sequence):
     """Unweighted field-by-field mean of summaries or comm results.
 
-    Inputs must agree on k (and cohort spec, when carried); counts such
-    as new_topk may become fractional.  For popularity summaries the top
-    name is taken from the largest-sample input.
+    Inputs must be of one type with a ``mean`` classmethod, such as
+    :class:`PopularitySummary` or ``commstats.CommResult``, and agree on
+    k; each type's ``mean`` applies its own rules.  Counts such as
+    new_topk may become fractional.
     """
-    from .commstats import CommResult  # cycle guard: commstats imports popstats
-
     if len(summaries) < 2:
         raise ValueError("need at least two summaries to average")
-
     first = summaries[0]
-    if isinstance(first, PopularitySummary):
-        if not all(isinstance(s, PopularitySummary) for s in summaries):
-            raise ValueError("cannot mix summary types")
-        if any(s.k != first.k for s in summaries):
-            raise ValueError("mismatched k")
-        if any(s.spec != first.spec for s in summaries):
-            raise ValueError("mismatched cohort specs")
-        largest = max(summaries, key=lambda s: s.sample_size)
-        return PopularitySummary(
-            top_name=largest.top_name,
-            top_pop=_mean([s.top_pop for s in summaries]),
-            topk_pop=_mean([s.topk_pop for s in summaries]),
-            info_is=_mean([s.info_is for s in summaries]),
-            sample_size=_mean([s.sample_size for s in summaries]),
-            k=first.k,
-            new_topk=_mean_optional([s.new_topk for s in summaries]),
-            spec=first.spec,
-        )
-    if isinstance(first, CommResult):
-        if not all(isinstance(s, CommResult) for s in summaries):
-            raise ValueError("cannot mix summary types")
-        if any(s.k != first.k for s in summaries):
-            raise ValueError("mismatched k")
-        return CommResult(
-            c1=_mean([s.c1 for s in summaries]),
-            c2=_mean([s.c2 for s in summaries]),
-            c3=_mean([s.c3 for s in summaries]),
-            c4=_mean([s.c4 for s in summaries]),
-            new_topk=_mean([s.new_topk for s in summaries]),
-            years_elapsed=_mean_optional([s.years_elapsed for s in summaries]),
-            turnover_pa=_mean_optional([s.turnover_pa for s in summaries]),
-            k=first.k,
-            fallback_count=max(s.fallback_count for s in summaries),
-        )
-    raise TypeError(f"cannot average {type(first).__name__}")
+    if not hasattr(type(first), "mean"):
+        raise TypeError(f"cannot average {type(first).__name__}")
+    if any(type(s) is not type(first) for s in summaries):
+        raise ValueError("cannot mix summary types")
+    if any(s.k != first.k for s in summaries):
+        raise ValueError("mismatched k")
+    return type(first).mean(summaries)

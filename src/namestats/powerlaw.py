@@ -22,15 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .commstats import (
-    AlignedPair,
-    CommResult,
-    comm_c1,
-    comm_c2,
-    comm_c3,
-    comm_c4,
-)
-from .popstats import FrequencyTable
+from .commstats import AlignedPair, CommResult, comm_from_pair
+from .popstats import FrequencyTable, ranked
 
 B_MIN, B_MAX = -20.0, 0.0
 BRACKET_WIDTH = 1e-12
@@ -126,8 +119,7 @@ def fit_rank_frequency(table: FrequencyTable, min_count: int = 5) -> PowerLawFit
     qualify.  The intercept is in log2-count units (the fitted log2
     frequency at rank 1).
     """
-    counts = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    qualifying = [float(c) for _, c in counts if c >= min_count]
+    qualifying = [float(c) for _, c in ranked(table.counts) if c >= min_count]
     if len(qualifying) < 3:
         raise InsufficientPointsError(
             f"need >= 3 names with count >= {min_count}, got {len(qualifying)}"
@@ -139,10 +131,9 @@ def loglog_series(
     table: FrequencyTable, min_count: int = 1
 ) -> list[tuple[float, float]]:
     """Chart-ready (log2 rank, log2 count) pairs in rank order."""
-    counts = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [
         (math.log2(rank), math.log2(count))
-        for rank, (_, count) in enumerate(counts, start=1)
+        for rank, (_, count) in enumerate(ranked(table.counts), start=1)
         if count >= min_count
     ]
 
@@ -272,11 +263,4 @@ def conquest_model(
         t11=t11,
         fallback_baseline="model",
     )
-    return CommResult(
-        c1=comm_c1(pair),
-        c2=comm_c2(pair),
-        c3=comm_c3(pair),
-        c4=comm_c4(pair),
-        new_topk=k,
-        k=k,
-    )
+    return comm_from_pair(pair, new_topk=k)

@@ -1,8 +1,24 @@
+import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from namestats.cli import main
+from namestats.corpus import (
+    RECORD_HEADER,
+    FilterPolicy,
+    RecordKind,
+    filter_records,
+    parse_records,
+    standardized_record,
+    write_records,
+    write_rejection_report,
+)
 
 from conftest import records_csv
 
@@ -153,6 +169,21 @@ class TestComm:
         assert code == 3
         assert "divergent_other_mass" in capsys.readouterr().err
 
+    def test_every_failing_sex_named(self, mini_corpus, tmp_path, capsys):
+        # with the demo table the 1870s have 11 distinct female names, and no male
+        code, text = run(
+            ["comm", "--records", str(mini_corpus), "--coding-table", DEMO_TABLE,
+             "--span1", "1870:1879", "--span2", "1880:1889", "--sex", "both",
+             "--k", "12"],
+            tmp_path,
+        )
+        assert code == 2
+        assert text is None
+        err = capsys.readouterr().err
+        assert "2 of 2 cohorts failed" in err
+        assert err.index("1870-1879->1880-1889 sex F") < err.index(
+            "1870-1879->1880-1889 sex M")
+
     def test_years_default_from_midpoints(self, mini_corpus, tmp_path):
         _, with_flag = run(
             ["comm", "--records", str(mini_corpus), "--coding-table", DEMO_TABLE,
@@ -194,6 +225,22 @@ class TestFit:
         lines = chart.read_text().splitlines()
         assert lines[0] == "log2_rank,log2_freq"
         assert lines[1] == "0.000000,5.321928"  # rank 1, count 40
+
+    @pytest.mark.parametrize("flags", [
+        ["--span", "1870:1879"],
+        ["--span", "1870:1879", "--span", "1880:1889", "--sex", "F"],
+    ])
+    def test_chart_needs_one_cohort(self, tmp_path, capsys, flags):
+        chart = tmp_path / "chart.csv"
+        # the record file does not exist: the usage error comes before reading it
+        code, text = run(
+            ["fit", "--records", str(tmp_path / "absent.csv"), *flags,
+             "--chart", str(chart)],
+            tmp_path,
+        )
+        assert code == 1
+        assert text is None and not chart.exists()
+        assert "--chart needs one cohort" in capsys.readouterr().err
 
     def test_insufficient_points_exit_2(self, mini_corpus, tmp_path):
         code, _ = run(
@@ -307,6 +354,63 @@ class TestIngest:
         assert reject_lines[0].endswith(",reason")
         reasons = sorted(line.rsplit(",", 1)[1] for line in reject_lines[1:])
         assert reasons == ["bad_age", "generic", "single_letter"]
+
+
+_INGEST_CELLS = [
+    st.sampled_from(["Mary", "Maria", "Mary A", " ann ", "Jno.", "Zelda", "J", "Mrs",
+                     "Widow Smith", "123", ""]),
+    st.sampled_from(["F", "M", "f", "F", "M", "U", "", "X"]),
+    st.sampled_from(["5", "30", "", "0", "110"] * 2 + ["111", "-1", "abc"]),
+    st.sampled_from(["1880", "1890", "1900"] * 3 + ["999", "2101", "December"]),
+    st.sampled_from([k.value for k in RecordKind] + ["", "tax_roll"]),
+    st.sampled_from(["", "Leeds", "York, N.Y."]),
+    st.sampled_from(["", "true", "true", "false", "no", "maybe"]),
+]
+
+
+@st.composite
+def ingest_files(draw) -> str:
+    """Record CSV text, mostly valid rows among blank, short and long ones."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RECORD_HEADER)
+    for _ in range(draw(st.integers(0, 15))):
+        shape = draw(st.sampled_from(["row"] * 8 + ["blank", "short", "long"]))
+        if shape == "blank":
+            buf.write("\n")
+            continue
+        row = [draw(cell) for cell in _INGEST_CELLS]
+        if shape == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif shape == "long":
+            row.append("extra")
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+class TestIngestMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(text=ingest_files(), native=st.booleans())
+    def test_out_and_rejects_bytes_equal(self, demo_table, text, native):
+        parsed = parse_records(io.StringIO(text))
+        filtered = filter_records(
+            parsed.records, FilterPolicy(require_native_born=native), demo_table
+        )
+        want_out, want_rejects = io.StringIO(), io.StringIO()
+        write_records(
+            (standardized_record(r, demo_table) for r in filtered.kept), want_out
+        )
+        write_rejection_report(parsed.rejected, filtered.rejected, want_rejects)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out, rejects = (Path(tmp) / n for n in ("in.csv", "out.csv", "rej.csv"))
+            src.write_text(text, encoding="utf-8")
+            code = main(["ingest", "--records", str(src), "--coding-table", DEMO_TABLE,
+                         "--out", str(out), "--rejects", str(rejects)]
+                        + ["--require-native-born"] * native)
+            assert code == 0
+            assert out.read_bytes() == want_out.getvalue().encode("utf-8")
+            assert rejects.read_bytes() == want_rejects.getvalue().encode("utf-8")
 
 
 class TestErrorPaths:
