@@ -2,7 +2,8 @@
 
 Subcommands: ingest, stats, comm, fit, samplevar, conquest, simulate.
 Exit codes: 0 success; 1 parse/usage failure (including fit --chart with
-more than one cohort); 2 insufficient distinct names (or too few fit
+more than one cohort, and an input that cannot be read or an output that
+cannot be written); 2 insufficient distinct names (or too few fit
 points), naming every cohort, or span1->span2 pair, that fails; 3
 divergent other-names mass in C1.
 
@@ -14,6 +15,9 @@ distinct names times birth years, not with rows, and every cohort is then
 read from the index.  Reports are written to --out (default stdout) in
 (cohort span, sex) order and are byte-identical across runs.  --threads
 is accepted (it must be >= 1) and has no effect.
+
+simulate renders the CSV row of each distinct simulated name once and
+repeats it by label in birth order, so it never holds one record per birth.
 """
 
 from __future__ import annotations
@@ -161,10 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_input(path: str, **kwargs):
+    try:
+        return open(path, encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
+
+
 def _load_table(args) -> CodingTable:
     if args.coding_table is None:
         return CodingTable()
-    with open(args.coding_table, encoding="utf-8") as fh:
+    with _open_input(args.coding_table) as fh:
         return load_coding_table(fh, version_id=Path(args.coding_table).name)
 
 
@@ -177,12 +188,9 @@ def _scan_records(args):
         generic_names=corpus.DEFAULT_GENERIC_NAMES | {g.upper() for g in args.generic},
         require_native_born=args.require_native_born,
     )
-    try:
-        with open(args.records, encoding="utf-8", newline="") as fh:
-            scan = corpus.RecordScan(fh, policy, table)
-            yield scan
-    except OSError as exc:
-        raise CliError(f"cannot read {args.records}: {exc}", EXIT_PARSE)
+    with _open_input(args.records, newline="") as fh:
+        scan = corpus.RecordScan(fh, policy, table)
+        yield scan
     if scan.parse_rejected or scan.filter_rejected:
         print(
             f"note: rejected {len(scan.parse_rejected)} rows at parse, "
@@ -191,11 +199,23 @@ def _scan_records(args):
         )
 
 
+@contextmanager
+def _output(path, **kwargs):
+    """``path`` opened for writing; the body only writes to it, so any
+    OSError is a failure to write ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
+
+
 def _write(args, text: str) -> None:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _output(args.out) as fh:
+            fh.write(text)
 
 
 def _spec(args, sex: Sex, span: tuple[int, int]) -> CohortSpec:
@@ -221,7 +241,7 @@ def _cmd_ingest(args) -> int:
         )
     _write(args, buf.getvalue())
     if args.rejects is not None:
-        with open(args.rejects, "w", encoding="utf-8", newline="") as fh:
+        with _output(args.rejects, newline="") as fh:
             corpus.write_rejection_report(scan.parse_rejected, scan.filter_rejected, fh)
     return EXIT_OK
 
@@ -326,6 +346,8 @@ def _cmd_conquest(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import csv
+
     config = synth.SimulationConfig(
         innovation_rate=args.alpha,
         births=args.births,
@@ -334,16 +356,24 @@ def _cmd_simulate(args) -> int:
         sex=Sex(args.sim_sex),
         year=args.year,
     )
-    records = synth.simulate_records(config)
+    records, labels = synth.simulate_record_labels(config)
     buf = io.StringIO()
-    corpus.write_records(records, buf)
-    _write(args, buf.getvalue())
+    writer = csv.writer(buf, lineterminator="\n")
+
+    def line(row: list[str]) -> str:
+        writer.writerow(row)
+        text = buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+        return text
+
+    # each distinct name's row is rendered once and repeated by label
+    rows = [line(corpus.record_to_row(record)) for record in records]
+    _write(args, "".join([line(corpus.RECORD_HEADER), *synth.repeat_by_label(rows, labels)]))
     if args.out is not None:
         meta_path = Path(args.out).with_suffix(Path(args.out).suffix + ".meta.json")
-        meta_path.write_text(
-            json.dumps(synth.simulation_metadata(config), indent=2) + "\n",
-            encoding="utf-8",
-        )
+        with _output(meta_path) as fh:
+            fh.write(json.dumps(synth.simulation_metadata(config), indent=2) + "\n")
     return EXIT_OK
 
 

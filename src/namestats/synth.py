@@ -2,9 +2,28 @@
 
 Each birth takes a fresh unique name with probability alpha and otherwise
 copies the name of a uniformly drawn earlier individual, so existing
-names attract new bearers in proportion to how many they already have.
-Long runs develop the power-law rank-frequency shape seen in real name
-samples, which makes the generator a useful end-to-end fixture.
+names attract new bearers in proportion to how many they already have
+(H. A. Simon, "On a class of skew distribution functions", Biometrika 42,
+1955).  Long runs develop the power-law rank-frequency shape seen in real
+name samples, which makes the generator a useful end-to-end fixture.
+
+The process runs in one vectorized pass over the ``initial_names``
+founders followed by the births, all numbered in birth order:
+
+1. ``rng.random(births) < alpha`` marks the births that innovate.
+2. One ``rng.integers(0, highs)`` call draws every copy target, where
+   ``highs`` holds each copying individual's own index (the number of
+   earlier individuals).  numpy's array-``high`` path consumes the PCG64
+   stream exactly as one scalar call per birth would, in birth order.
+3. Each individual's parent is itself (founders and innovations) or its
+   copy target; parents always precede children, so pointer jumping
+   (``parent = parent[parent]`` until it stops changing) reaches every
+   individual's root, the founder or innovation whose name it carries.
+4. Roots are numbered in index order, which is order of first
+   appearance: founders first, then innovations in birth order.  Root j
+   is named ``name_alphabet(j)`` (default :func:`sequential_name`), and
+   ``name_alphabet`` is called exactly once per root, for j = 0, 1, ...
+   in that order.
 
 Streams come from numpy's PCG64 generator, so a config reproduces its
 corpus bit for bit; :func:`simulation_metadata` captures the seed and
@@ -65,21 +84,30 @@ class SimulationConfig:
             raise ValueError("initial_names must be >= 1")
 
 
-def _simulate_sequence(config: SimulationConfig) -> list[str]:
+def _simulate_labels(config: SimulationConfig) -> tuple[list[str], np.ndarray]:
+    """``(names, labels)``: individual i (founders first) is ``names[labels[i]]``.
+
+    ``names`` holds one entry per root in order of first appearance.
+    """
     namefn = config.name_alphabet or sequential_name
     rng = np.random.Generator(np.random.PCG64(config.seed))
     innovate = rng.random(config.births) < config.innovation_rate
 
-    history = [namefn(i) for i in range(config.initial_names)]
-    next_index = config.initial_names
-    for t in range(config.births):
-        if innovate[t]:
-            name = namefn(next_index)
-            next_index += 1
-        else:
-            name = history[int(rng.integers(0, len(history)))]
-        history.append(name)
-    return history
+    founders = config.initial_names
+    is_root = np.concatenate([np.ones(founders, dtype=bool), innovate])
+    parent = np.arange(is_root.size)
+    # individual i draws uniformly among the i individuals before it
+    copies = np.flatnonzero(~is_root)
+    parent[copies] = rng.integers(0, copies)
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            break
+        parent = jumped
+
+    root_label = np.cumsum(is_root) - 1
+    names = [namefn(j) for j in range(np.count_nonzero(is_root))]
+    return names, root_label[parent]
 
 
 def simulate_naming(config: SimulationConfig) -> Cohort:
@@ -88,23 +116,45 @@ def simulate_naming(config: SimulationConfig) -> Cohort:
     The ``initial_names`` founders are part of the population (so the
     expected distinct-name count is alpha * births + initial_names), and
     every subsequent birth draws its copy target uniformly from all
-    earlier individuals including them.
+    earlier individuals including them.  The counter's keys are in order
+    of first appearance.
     """
+    names, labels = _simulate_labels(config)
+    counts: Counter[str] = Counter()
+    for name, n in zip(names, np.bincount(labels).tolist()):
+        counts[name] += n
     spec = CohortSpec(config.sex, config.year, config.year)
-    return Cohort(spec, Counter(_simulate_sequence(config)))
+    return Cohort(spec, counts)
 
 
-def simulate_records(config: SimulationConfig) -> list[NameRecord]:
-    """The same simulation as birth-register records, in birth order."""
-    return [
+def simulate_record_labels(config: SimulationConfig) -> tuple[list[NameRecord], np.ndarray]:
+    """``(records, labels)``: one birth-register record per name, in order of
+    first appearance, and for each individual in birth order the index of
+    its record."""
+    names, labels = _simulate_labels(config)
+    records = [
         NameRecord(
             raw_name=name,
             sex=config.sex,
             record_year=config.year,
             record_kind=RecordKind.BIRTH_REGISTER,
         )
-        for name in _simulate_sequence(config)
+        for name in names
     ]
+    return records, labels
+
+
+def simulate_records(config: SimulationConfig) -> list[NameRecord]:
+    """The same simulation as birth-register records, in birth order.
+
+    Individuals who share a name share one (frozen) record object.
+    """
+    return repeat_by_label(*simulate_record_labels(config))
+
+
+def repeat_by_label(items: list, labels: np.ndarray) -> list:
+    """``[items[j] for j in labels]``, indexed in one numpy pass."""
+    return np.fromiter(items, dtype=object, count=len(items))[labels].tolist()
 
 
 def simulation_metadata(config: SimulationConfig) -> dict:

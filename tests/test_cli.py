@@ -12,6 +12,7 @@ from namestats.cli import main
 from namestats.corpus import (
     RECORD_HEADER,
     FilterPolicy,
+    NameRecord,
     RecordKind,
     filter_records,
     parse_records,
@@ -19,8 +20,11 @@ from namestats.corpus import (
     write_records,
     write_rejection_report,
 )
+from namestats.standardize import Sex
+from namestats.synth import SimulationConfig, simulation_metadata
 
 from conftest import records_csv
+from reference_synth import simulate_sequence
 
 DEMO_TABLE = "src/namestats/data/demo_coding.csv"
 
@@ -325,6 +329,42 @@ class TestSimulate:
         assert float(fields[4]) >= 0.9
 
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--alpha", "0.2", "--births", "500", "--seed", "11"],
+         SimulationConfig(0.2, 500, seed=11)),
+        (["--alpha", "0.3", "--births", "3000", "--seed", "3", "--initial-names", "4"],
+         SimulationConfig(0.3, 3000, initial_names=4, seed=3)),
+        (["--alpha", "1", "--births", "200", "--seed", "5", "--initial-names", "2"],
+         SimulationConfig(1.0, 200, initial_names=2, seed=5)),
+        (["--alpha", "0", "--births", "100", "--sim-sex", "M", "--year", "1900"],
+         SimulationConfig(0.0, 100, sex=Sex.MALE, year=1900)),
+    ])
+    def test_bytes_equal_reference(self, tmp_path, capsys, flags, config):
+        want = io.StringIO()
+        write_records(
+            (NameRecord(name, config.sex, config.year, RecordKind.BIRTH_REGISTER)
+             for name in simulate_sequence(config)),
+            want,
+        )
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", *flags, "--out", str(out)]) == 0
+        assert out.read_bytes() == want.getvalue().encode("utf-8")
+        meta = tmp_path / "sim.csv.meta.json"
+        assert meta.read_text(encoding="utf-8") == (
+            json.dumps(simulation_metadata(config), indent=2) + "\n"
+        )
+        assert main(["simulate", *flags]) == 0
+        assert capsys.readouterr().out == want.getvalue()
+
+    def test_year_out_of_range_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--alpha", "0.1", "--births", "10", "--year", "3000",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: record_year 3000 outside [1000, 2100]\n"
+        assert not out.exists()
+
+
 class TestIngest:
     def test_standardized_output_and_rejects(self, tmp_path):
         src = tmp_path / "raw.csv"
@@ -432,3 +472,48 @@ class TestErrorPaths:
         code = main(["stats", "--records", str(mini_corpus),
                      "--span", "1870:1879", "--threads", "0"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", [
+        ["ingest"],
+        ["stats", "--span", "1870:1879"],
+    ])
+    def test_missing_coding_table_exit_1(self, mini_corpus, tmp_path, capsys, command):
+        table = tmp_path / "nope.csv"
+        code = main([*command, "--records", str(mini_corpus),
+                     "--coding-table", str(table)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {table}: ")
+        assert err.count("\n") == 1
+
+    def test_missing_records_message(self, tmp_path, capsys):
+        records = tmp_path / "nope.csv"
+        assert main(["stats", "--records", str(records), "--span", "1800:1809"]) == 1
+        assert capsys.readouterr().err.startswith(f"cannot read {records}: ")
+
+    def test_unwritable_out_exit_1(self, mini_corpus, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv"
+        for argv in (
+            ["simulate", "--alpha", "0.1", "--births", "10"],
+            ["stats", "--records", str(mini_corpus), "--span", "1870:1879", "--sex", "F"],
+            ["ingest", "--records", str(mini_corpus)],
+        ):
+            assert main([*argv, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"cannot write {out}: ")
+            assert err.count("\n") == 1
+
+    def test_unwritable_rejects_exit_1(self, mini_corpus, tmp_path, capsys):
+        rejects = tmp_path / "no" / "rej.csv"
+        code = main(["ingest", "--records", str(mini_corpus), "--rejects", str(rejects),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"cannot write {rejects}: ")
+
+    def test_unwritable_metadata_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        meta = tmp_path / "sim.csv.meta.json"
+        meta.mkdir()
+        code = main(["simulate", "--alpha", "0.1", "--births", "10", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"cannot write {meta}: ")

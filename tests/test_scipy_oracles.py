@@ -1,0 +1,74 @@
+"""Independent oracles from scipy for I_s and the two constraint solvers.
+
+scipy is a test-only dependency; the module is skipped when it is absent.
+Tolerances are the acceptance ones: 1e-9 on I_s and on the exponent.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+scipy_optimize = pytest.importorskip("scipy.optimize")
+scipy_stats = pytest.importorskip("scipy.stats")
+
+from namestats import (  # noqa: E402
+    PopularityList,
+    social_information,
+    solve_from_info_constraints,
+    solve_from_top_constraints,
+)
+from namestats.popstats import PopularityEntry  # noqa: E402
+from namestats.powerlaw import B_MAX, B_MIN, model_information  # noqa: E402
+
+fractions = st.floats(0.01, 0.99)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=30))
+def test_social_information_matches_entropy(weights):
+    # scale into a descending list whose total is at most 1
+    popularities = sorted((w / (len(weights) + 1) for w in weights), reverse=True)
+    k = len(popularities)
+    plist = PopularityList(k, tuple(
+        PopularityEntry(j, f"N{j:02d}", p) for j, p in enumerate(popularities, start=1)
+    ))
+    want = math.log2(k) - scipy_stats.entropy(popularities, base=2)
+    assert social_information(plist) == pytest.approx(want, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.floats(B_MIN, B_MAX), k=st.integers(1, 60))
+def test_model_information_matches_entropy(b, k):
+    want = math.log2(k) - scipy_stats.entropy([j**b for j in range(1, k + 1)], base=2)
+    assert model_information(b, k) == pytest.approx(want, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p1=st.floats(0.01, 0.5), k=st.integers(2, 30), frac=fractions)
+def test_top_constraints_match_brentq(p1, k, frac):
+    total = p1 + frac * (min(1.0, k * p1) - p1)
+
+    def gap(b):
+        return total - p1 * math.fsum(j**b for j in range(1, k + 1))
+
+    want = scipy_optimize.brentq(gap, B_MIN, B_MAX, xtol=1e-14)
+    model = solve_from_top_constraints(p1, total, k)
+    assert model.exponent == pytest.approx(want, abs=1e-9)
+    assert model.total == pytest.approx(total, abs=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 30), frac=fractions, total=st.floats(0.01, 1.0))
+def test_info_constraints_match_brentq(k, frac, total):
+    info_is = frac * model_information(B_MIN, k)
+
+    def gap(b):
+        weights = [j**b for j in range(1, k + 1)]
+        return math.log2(k) - scipy_stats.entropy(weights, base=2) - info_is
+
+    want = scipy_optimize.brentq(gap, B_MIN, B_MAX, xtol=1e-14)
+    model = solve_from_info_constraints(info_is, total, k)
+    assert model.exponent == pytest.approx(want, abs=1e-9)
+    assert model.total == pytest.approx(total, abs=1e-10)

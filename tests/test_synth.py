@@ -1,8 +1,12 @@
 import statistics
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from namestats import (
+    NameRecord,
     RecordKind,
     SimulationConfig,
     fit_ranked_frequencies,
@@ -12,7 +16,9 @@ from namestats import (
     top_k,
     truncate_name,
 )
-from namestats.synth import sequential_name, simulation_metadata
+from namestats.synth import _simulate_labels, sequential_name, simulation_metadata
+
+from reference_synth import simulate_sequence
 
 # regression values observed once with the shipped seed and frozen
 SHIPPED = SimulationConfig(innovation_rate=0.1, births=50_000, initial_names=1, seed=7)
@@ -117,3 +123,73 @@ def test_config_validation():
         SimulationConfig(innovation_rate=0.5, births=0)
     with pytest.raises(ValueError):
         SimulationConfig(innovation_rate=0.5, births=10, initial_names=0)
+
+
+def recording(kind: str | None, log: list[int]):
+    """A name_alphabet that logs each index it is called with, or None.
+
+    "distinct" names index i as sequential_name does; "colliding" gives
+    only seven names, so several roots share one.
+    """
+    if kind is None:
+        return None
+
+    def namefn(i: int) -> str:
+        log.append(i)
+        return sequential_name(i) if kind == "distinct" else "Q" + "ABCDEFG"[i % 7]
+
+    return namefn
+
+
+def reference_records(config: SimulationConfig, names: list[str]) -> list[NameRecord]:
+    return [
+        NameRecord(name, config.sex, config.year, RecordKind.BIRTH_REGISTER)
+        for name in names
+    ]
+
+
+def assert_matches_loop(alpha, births, founders, seed, alphabet=None):
+    """The vectorized simulator against the per-birth reference loop: the
+    same name for every individual, the same counts in the same key order,
+    the same records and the same name_alphabet calls."""
+
+    def config(log):
+        return SimulationConfig(alpha, births, founders, seed,
+                                name_alphabet=recording(alphabet, log))
+
+    want_log: list[int] = []
+    want = simulate_sequence(config(want_log))
+
+    log: list[int] = []
+    names, labels = _simulate_labels(config(log))
+    assert [names[j] for j in labels.tolist()] == want
+    assert log == want_log
+
+    log = []
+    counts = simulate_naming(config(log)).names
+    assert list(counts.items()) == list(Counter(want).items())
+    assert log == want_log
+
+    log = []
+    assert simulate_records(config(log)) == reference_records(config(None), want)
+    assert log == want_log
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    births=st.integers(1, 5000),
+    founders=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+    alphabet=st.sampled_from([None, "distinct", "colliding"]),
+)
+def test_vectorized_matches_reference_loop(alpha, births, founders, seed, alphabet):
+    assert_matches_loop(alpha, births, founders, seed, alphabet)
+
+
+@pytest.mark.parametrize(
+    "alpha, births, founders, seed",
+    [(0.1, 50_000, 1, 7), (0.3, 20_000, 5, 3), (0.0, 5_000, 1, 1)],
+)
+def test_vectorized_matches_reference_loop_at_scale(alpha, births, founders, seed):
+    assert_matches_loop(alpha, births, founders, seed)
