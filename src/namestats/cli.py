@@ -7,17 +7,24 @@ cannot be written); 2 insufficient distinct names (or too few fit
 points), naming every cohort, or span1->span2 pair, that fails; 3
 divergent other-names mass in C1.
 
+Each subcommand takes only the options it reads (see `namestats CMD -h`).
+Every one writes to --out (default stdout); all but ingest and simulate
+take --format.  ingest, stats, comm and fit read --records under
+--coding-table, --require-native-born and --generic; stats, comm and fit
+also take --sex, --marriage-age, --adult-age and --threads.  --threads
+is accepted (it must be >= 1) and has no effect.
+
 ingest, stats, comm and fit read the record file in one streaming pass
 that parses, filters and standardizes each row once.  ingest writes each
 kept row as the pass reaches it and keeps only the rejects; the others
 count each row into a birth-year cohort index, so memory grows with
 distinct names times birth years, not with rows, and every cohort is then
-read from the index.  Reports are written to --out (default stdout) in
-(cohort span, sex) order and are byte-identical across runs.  --threads
-is accepted (it must be >= 1) and has no effect.
+read from the index.  Reports are written in (cohort span, sex) order and
+are byte-identical across runs.
 
 simulate renders the CSV row of each distinct simulated name once and
-repeats it by label in birth order, so it never holds one record per birth.
+repeats it by label in birth order, so it never holds one record per birth;
+the repeated rows are written a slice at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ import argparse
 import io
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from . import corpus, reports, synth
 from .commstats import DivergentOtherMassError, comm_all
@@ -50,6 +59,10 @@ from .standardize import CodingTable, Sex, load_coding_table
 SAMPLEVAR_GRID = [
     (p, n) for n in (100, 1000, 10_000, 100_000) for p in (0.20, 0.03, 0.015)
 ]
+
+# simulate rows joined per write: bounds the text held at once without a
+# write call per row
+_WRITE_SLICE = 1 << 16
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -83,21 +96,22 @@ def _sexes(code: str) -> list[Sex]:
     return [Sex.FEMALE, Sex.MALE] if code == "both" else [Sex(code)]
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--coding-table", metavar="PATH", default=None)
-    parser.add_argument("--k", type=int, default=10)
-    parser.add_argument("--min-count", type=int, default=5)
-    parser.add_argument("--format", choices=("csv", "markdown"), default="csv")
+def _positive_int(text: str) -> int:
+    with suppress(ValueError):
+        if int(text) >= 1:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
+def _output_flags(parser: argparse.ArgumentParser, report: bool = True) -> None:
+    if report:
+        parser.add_argument("--format", choices=("csv", "markdown"), default="csv")
     parser.add_argument("--out", metavar="PATH", default=None)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
 
 
 def _record_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--records", metavar="PATH", required=True)
-    parser.add_argument("--sex", choices=("F", "M", "both"), default="both")
-    parser.add_argument("--marriage-age", type=int, default=25)
-    parser.add_argument("--adult-age", type=int, default=35)
+    parser.add_argument("--coding-table", metavar="PATH", default=None)
     parser.add_argument("--require-native-born", action="store_true")
     parser.add_argument(
         "--generic",
@@ -108,25 +122,35 @@ def _record_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _cohort_flags(parser: argparse.ArgumentParser) -> None:
+    _output_flags(parser)
+    _record_flags(parser)
+    parser.add_argument("--sex", choices=("F", "M", "both"), default="both")
+    parser.add_argument("--marriage-age", type=int, default=25)
+    parser.add_argument("--adult-age", type=int, default=35)
+    parser.add_argument("--threads", type=_positive_int, default=1,
+                        help="accepted for compatibility; has no effect")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="namestats", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("ingest", help="parse, filter, and standardize a record file")
-    _common_flags(p)
+    _output_flags(p, report=False)
     _record_flags(p)
     p.add_argument("--rejects", metavar="PATH", default=None,
                    help="write the rejection report here")
 
     p = sub.add_parser("stats", help="popularity summaries per cohort and sex")
-    _common_flags(p)
-    _record_flags(p)
+    _cohort_flags(p)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--span", type=_span, action="append", required=True,
                    metavar="START:END", help="birth-year span (repeatable)")
 
     p = sub.add_parser("comm", help="communication statistics between two cohorts")
-    _common_flags(p)
-    _record_flags(p)
+    _cohort_flags(p)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--span1", type=_span, required=True, metavar="START:END")
     p.add_argument("--span2", type=_span, required=True, metavar="START:END")
     p.add_argument("--years", type=float, default=None,
@@ -134,18 +158,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t11", type=float, default=None)
 
     p = sub.add_parser("fit", help="rank-frequency power-law fit per cohort")
-    _common_flags(p)
-    _record_flags(p)
+    _cohort_flags(p)
+    p.add_argument("--min-count", type=int, default=5)
     p.add_argument("--span", type=_span, action="append", required=True,
                    metavar="START:END")
     p.add_argument("--chart", metavar="PATH", default=None,
                    help="also write the log2 rank/frequency series here")
 
     p = sub.add_parser("samplevar", help="binomial sampling-variability table")
-    _common_flags(p)
+    _output_flags(p)
 
     p = sub.add_parser("conquest", help="model-based century-scale statistics")
-    _common_flags(p)
+    _output_flags(p)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--year2-top", type=float, default=0.10)
     p.add_argument("--year2-total", type=float, default=0.45)
     p.add_argument("--year1-info", type=float, default=0.4)
@@ -154,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span-label", default="1066-1166")
 
     p = sub.add_parser("simulate", help="generate a synthetic record file")
-    _common_flags(p)
+    _output_flags(p, report=False)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--births", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -210,12 +235,12 @@ def _output(path, **kwargs):
         raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
 
 
-def _write(args, text: str) -> None:
+def _write(args, chunks: Iterable[str]) -> None:
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with _output(args.out) as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _spec(args, sex: Sex, span: tuple[int, int]) -> CohortSpec:
@@ -239,7 +264,7 @@ def _cmd_ingest(args) -> int:
             ),
             buf,
         )
-    _write(args, buf.getvalue())
+    _write(args, [buf.getvalue()])
     if args.rejects is not None:
         with _output(args.rejects, newline="") as fh:
             corpus.write_rejection_report(scan.parse_rejected, scan.filter_rejected, fh)
@@ -281,7 +306,7 @@ def _span_jobs(args) -> list[tuple[CohortSpec, ...]]:
 
 def _cmd_stats(args) -> int:
     rows = _each_cohort(args, _span_jobs(args), lambda cohort: summarize(cohort, args.k))
-    _write(args, reports.render_summaries(rows, args.format))
+    _write(args, [reports.render_summaries(rows, args.format)])
     return EXIT_OK
 
 
@@ -299,7 +324,7 @@ def _cmd_comm(args) -> int:
     rows = _each_cohort(
         args, jobs, lambda c1, c2: comm_all(c1, c2, args.k, years, args.t11)
     )
-    _write(args, reports.render_comm(rows, args.format))
+    _write(args, [reports.render_comm(rows, args.format)])
     return EXIT_OK
 
 
@@ -316,19 +341,18 @@ def _cmd_fit(args) -> int:
         return ftable, fit_rank_frequency(ftable, args.min_count)
 
     rows = _each_cohort(args, jobs, fit)
-    _write(args, reports.render_fits([(l, s, f) for l, s, (_, f) in rows], args.format))
+    _write(args, [reports.render_fits([(l, s, f) for l, s, (_, f) in rows], args.format)])
     if args.chart is not None:
         _, _, (ftable, _) = rows[0]
         series = loglog_series(ftable, min_count=1)
-        Path(args.chart).write_text(
-            reports.render_chart_series(series, "csv"), encoding="utf-8"
-        )
+        with _output(args.chart) as fh:
+            fh.write(reports.render_chart_series(series, "csv"))
     return EXIT_OK
 
 
 def _cmd_samplevar(args) -> int:
     rows = [(p, n, sampling_variability(p, n)) for p, n in SAMPLEVAR_GRID]
-    _write(args, reports.render_samplevar(rows, args.format))
+    _write(args, [reports.render_samplevar(rows, args.format)])
     return EXIT_OK
 
 
@@ -341,7 +365,7 @@ def _cmd_conquest(args) -> int:
         args.t11,
         args.k,
     )
-    _write(args, reports.render_conquest(args.span_label, result, args.format))
+    _write(args, [reports.render_conquest(args.span_label, result, args.format)])
     return EXIT_OK
 
 
@@ -367,9 +391,13 @@ def _cmd_simulate(args) -> int:
         buf.truncate()
         return text
 
-    # each distinct name's row is rendered once and repeated by label
+    # each distinct name's row is rendered once and repeated by label, and
+    # the repeats are joined a slice at a time, never into one whole report
     rows = [line(corpus.record_to_row(record)) for record in records]
-    _write(args, "".join([line(corpus.RECORD_HEADER), *synth.repeat_by_label(rows, labels)]))
+    repeated = synth.repeat_by_label(rows, labels)
+    slices = range(0, len(repeated), _WRITE_SLICE)
+    _write(args, chain([line(corpus.RECORD_HEADER)],
+                       ("".join(repeated[i:i + _WRITE_SLICE]) for i in slices)))
     if args.out is not None:
         meta_path = Path(args.out).with_suffix(Path(args.out).suffix + ".meta.json")
         with _output(meta_path) as fh:
@@ -392,8 +420,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise CliError("--threads must be >= 1", EXIT_PARSE)
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -129,6 +129,10 @@ class CohortSpec:
                 f"birth_year_start {self.birth_year_start} > "
                 f"birth_year_end {self.birth_year_end}"
             )
+        for name in ("default_age_marriage", "default_age_adult"):
+            age = getattr(self, name)
+            if not AGE_MIN <= age <= AGE_MAX:
+                raise ValueError(f"{name} {age} outside [{AGE_MIN}, {AGE_MAX}]")
 
     @property
     def label(self) -> str:

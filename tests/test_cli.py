@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from namestats import cli
 from namestats.cli import main
 from namestats.corpus import (
     RECORD_HEADER,
@@ -356,6 +358,17 @@ class TestSimulate:
         assert main(["simulate", *flags]) == 0
         assert capsys.readouterr().out == want.getvalue()
 
+    def test_write_slices_keep_bytes(self, tmp_path, capsys, monkeypatch):
+        flags = ["simulate", "--alpha", "0.3", "--births", "100", "--seed", "4"]
+        whole, sliced = tmp_path / "whole.csv", tmp_path / "sliced.csv"
+        assert main([*flags, "--out", str(whole)]) == 0
+        # 101 rows in slices of 7: the last slice is short
+        monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+        assert main([*flags, "--out", str(sliced)]) == 0
+        assert sliced.read_bytes() == whole.read_bytes()
+        assert main(flags) == 0
+        assert capsys.readouterr().out == whole.read_text(encoding="utf-8")
+
     def test_year_out_of_range_exit_1(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         code = main(["simulate", "--alpha", "0.1", "--births", "10", "--year", "3000",
@@ -510,6 +523,36 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"cannot write {rejects}: ")
 
+    def test_unwritable_chart_exit_1(self, mini_corpus, tmp_path, capsys):
+        chart = tmp_path / "no" / "chart.csv"
+        code = main(["fit", "--records", str(mini_corpus), "--span", "1870:1879",
+                     "--sex", "F", "--min-count", "1", "--chart", str(chart),
+                     "--out", str(tmp_path / "fit.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {chart}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--k", "0"], ["--k", "-3"], ["--threads", "0"], ["--threads", "two"],
+    ])
+    def test_nonpositive_int_exit_1_before_reading(self, tmp_path, capsys, flags):
+        code = main(["stats", "--records", str(tmp_path / "absent.csv"),
+                     "--span", "1870:1879", *flags])
+        assert code == 1
+        assert f"argument {flags[0]}: must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--marriage-age=-50", "default_age_marriage -50"),
+        ("--adult-age=111", "default_age_adult 111"),
+    ])
+    def test_default_age_out_of_range_exit_1_before_reading(self, tmp_path, capsys,
+                                                            flag, field):
+        code = main(["stats", "--records", str(tmp_path / "absent.csv"),
+                     "--span", "1870:1879", flag])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {field} outside [0, 110]\n"
+
     def test_unwritable_metadata_exit_1(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         meta = tmp_path / "sim.csv.meta.json"
@@ -517,3 +560,75 @@ class TestErrorPaths:
         code = main(["simulate", "--alpha", "0.1", "--births", "10", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"cannot write {meta}: ")
+
+
+def _valid_argv(command: str, records: Path, tmp_path: Path) -> list[str]:
+    """An argv for ``command`` that runs to exit 0 on the mini corpus."""
+    return {
+        "ingest": ["ingest", "--records", str(records),
+                   "--rejects", str(tmp_path / "rejects.csv")],
+        "stats": ["stats", "--records", str(records), "--span", "1870:1879",
+                  "--sex", "F"],
+        "comm": ["comm", "--records", str(records), "--span1", "1870:1879",
+                 "--span2", "1880:1889", "--sex", "F"],
+        "fit": ["fit", "--records", str(records), "--span", "1870:1879", "--sex", "F",
+                "--min-count", "1", "--chart", str(tmp_path / "chart.csv")],
+        "samplevar": ["samplevar"],
+        "conquest": ["conquest", "--t11", "0.75"],
+        "simulate": ["simulate", "--alpha", "0.1", "--births", "100"],
+    }[command] + ["--out", str(tmp_path / "out.csv")]
+
+
+class _ReadLog(argparse.Namespace):
+    """Parsed options that note in ``_reads`` the name of each one read."""
+
+    def __init__(self, parsed: argparse.Namespace):
+        super().__init__(**vars(parsed), _reads=set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestFlagsAreRead:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_parsed_option_is_read(self, mini_corpus, tmp_path, command):
+        argv = _valid_argv(command, mini_corpus, tmp_path)
+        parsed = cli.build_parser().parse_args(argv)
+        args = _ReadLog(parsed)
+        assert cli._COMMANDS[command](args) == 0
+        # --threads is kept where it once chose a thread count; it has no effect
+        no_effect = {"threads"} if command in ("stats", "comm", "fit") else set()
+        assert set(vars(parsed)) - {"command"} - args._reads == no_effect
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("ingest", "--k", "3"),
+        ("ingest", "--min-count", "3"),
+        ("ingest", "--format", "markdown"),
+        ("ingest", "--threads", "2"),
+        ("ingest", "--sex", "M"),
+        ("ingest", "--marriage-age", "999"),
+        ("ingest", "--adult-age", "30"),
+        ("stats", "--min-count", "3"),
+        ("comm", "--min-count", "3"),
+        ("fit", "--k", "3"),
+        ("samplevar", "--coding-table", DEMO_TABLE),
+        ("samplevar", "--k", "3"),
+        ("samplevar", "--min-count", "3"),
+        ("samplevar", "--threads", "2"),
+        ("conquest", "--coding-table", DEMO_TABLE),
+        ("conquest", "--min-count", "3"),
+        ("conquest", "--threads", "2"),
+        ("simulate", "--coding-table", "nope.csv"),
+        ("simulate", "--k", "3"),
+        ("simulate", "--min-count", "3"),
+        ("simulate", "--format", "markdown"),
+        ("simulate", "--threads", "2"),
+    ])
+    def test_removed_flag_exit_1(self, mini_corpus, tmp_path, capsys,
+                                 command, flag, value):
+        argv = _valid_argv(command, mini_corpus, tmp_path)
+        assert main([*argv, flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()

@@ -278,6 +278,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             CohortSpec(Sex.FEMALE, 1900, 1800)
 
+    @pytest.mark.parametrize("ages", [(-1, 35), (25, 111)])
+    def test_default_age_bounds(self, ages):
+        with pytest.raises(ValueError, match=r"outside \[0, 110\]"):
+            CohortSpec(Sex.FEMALE, 1800, 1809, *ages)
+
 
 def _cased(text: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
     """Codes in upper, lower and title case, padded with blanks and tabs."""
