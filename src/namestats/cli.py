@@ -15,12 +15,15 @@ also take --sex, --marriage-age, --adult-age and --threads.  --threads
 is accepted (it must be >= 1) and has no effect.
 
 ingest, stats, comm and fit read the record file in one streaming pass
-that parses, filters and standardizes each row once.  ingest writes each
-kept row as the pass reaches it and keeps only the rejects; the others
-count each row into a birth-year cohort index, so memory grows with
-distinct names times birth years, not with rows, and every cohort is then
-read from the index.  Reports are written in (cohort span, sex) order and
-are byte-identical across runs.
+that decodes each distinct field text once and each kept row by table
+lookups (see corpus.RecordScan).  ingest writes each kept row to --out as
+the pass reaches it and keeps only the rejects; the others count each row
+into a birth-year cohort index, so memory grows with distinct names times
+birth years, not with rows, and every cohort is then read from the index.
+Reports are written in (cohort span, sex) order and are byte-identical
+across runs.  All output files are opened before the first report byte is
+written; when one cannot be, the run exits 1 and removes the ones it
+created.  --min-count must be at least 1 and --years above 0.
 
 simulate renders the CSV row of each distinct simulated name once and
 repeats it by label in birth order, so it never holds one record per birth;
@@ -32,15 +35,16 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 from . import corpus, reports, synth
 from .commstats import DivergentOtherMassError, comm_all
-from .corpus import CohortSpec, FilterPolicy, NameRecord, ParseError
+from .corpus import CohortSpec, FilterPolicy, ParseError
 from .popstats import (
     InsufficientDistinctNamesError,
     frequency_table,
@@ -103,6 +107,13 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
+def _positive_float(text: str) -> float:
+    with suppress(ValueError):
+        if float(text) > 0:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
+
+
 def _output_flags(parser: argparse.ArgumentParser, report: bool = True) -> None:
     if report:
         parser.add_argument("--format", choices=("csv", "markdown"), default="csv")
@@ -153,13 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--span1", type=_span, required=True, metavar="START:END")
     p.add_argument("--span2", type=_span, required=True, metavar="START:END")
-    p.add_argument("--years", type=float, default=None,
+    p.add_argument("--years", type=_positive_float, default=None,
                    help="elapsed years (default: span midpoint difference)")
     p.add_argument("--t11", type=float, default=None)
 
     p = sub.add_parser("fit", help="rank-frequency power-law fit per cohort")
     _cohort_flags(p)
-    p.add_argument("--min-count", type=int, default=5)
+    p.add_argument("--min-count", type=_positive_int, default=5)
     p.add_argument("--span", type=_span, action="append", required=True,
                    metavar="START:END")
     p.add_argument("--chart", metavar="PATH", default=None,
@@ -226,21 +237,36 @@ def _scan_records(args):
 
 @contextmanager
 def _output(path, **kwargs):
-    """``path`` opened for writing; the body only writes to it, so any
-    OSError is a failure to write ``path``."""
+    """``path`` opened for writing, or None when ``path`` is None.
+
+    The body only writes to it, so any OSError is a failure to write
+    ``path``.  When the body fails, as when a later output cannot be
+    opened, a file this call created is removed again.
+    """
+    if path is None:
+        yield None
+        return
+    created = not os.path.exists(path)
     try:
         with open(path, "w", encoding="utf-8", **kwargs) as fh:
             yield fh
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
+    except BaseException as exc:
+        if created:
+            with suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
+        raise
+
+
+def _report(args):
+    """--out opened for writing, or stdout."""
+    return nullcontext(sys.stdout) if args.out is None else _output(args.out)
 
 
 def _write(args, chunks: Iterable[str]) -> None:
-    if args.out is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with _output(args.out) as fh:
-            fh.writelines(chunks)
+    with _report(args) as fh:
+        fh.writelines(chunks)
 
 
 def _spec(args, sex: Sex, span: tuple[int, int]) -> CohortSpec:
@@ -254,20 +280,12 @@ def _spec(args, sex: Sex, span: tuple[int, int]) -> CohortSpec:
 
 
 def _cmd_ingest(args) -> int:
-    buf = io.StringIO()
-    with _scan_records(args) as scan:
-        corpus.write_records(
-            (
-                NameRecord(name, sex, r.record_year, r.record_kind, r.age,
-                           r.location, r.native_born)
-                for r, name, sex in scan
-            ),
-            buf,
-        )
-    _write(args, [buf.getvalue()])
-    if args.rejects is not None:
-        with _output(args.rejects, newline="") as fh:
-            corpus.write_rejection_report(scan.parse_rejected, scan.filter_rejected, fh)
+    with (_scan_records(args) as scan, _report(args) as out,
+          _output(args.rejects, newline="") as rejects):
+        corpus.write_rows(scan, out)
+        if rejects is not None:
+            corpus.write_rejection_report(scan.parse_rejected, scan.filter_rejected,
+                                          rejects)
     return EXIT_OK
 
 
@@ -341,12 +359,12 @@ def _cmd_fit(args) -> int:
         return ftable, fit_rank_frequency(ftable, args.min_count)
 
     rows = _each_cohort(args, jobs, fit)
-    _write(args, [reports.render_fits([(l, s, f) for l, s, (_, f) in rows], args.format)])
-    if args.chart is not None:
-        _, _, (ftable, _) = rows[0]
-        series = loglog_series(ftable, min_count=1)
-        with _output(args.chart) as fh:
-            fh.write(reports.render_chart_series(series, "csv"))
+    with _report(args) as out, _output(args.chart) as chart:
+        out.write(reports.render_fits([(l, s, f) for l, s, (_, f) in rows], args.format))
+        if chart is not None:
+            _, _, (ftable, _) = rows[0]
+            series = loglog_series(ftable, min_count=1)
+            chart.write(reports.render_chart_series(series, "csv"))
     return EXIT_OK
 
 
@@ -396,12 +414,14 @@ def _cmd_simulate(args) -> int:
     rows = [line(corpus.record_to_row(record)) for record in records]
     repeated = synth.repeat_by_label(rows, labels)
     slices = range(0, len(repeated), _WRITE_SLICE)
-    _write(args, chain([line(corpus.RECORD_HEADER)],
-                       ("".join(repeated[i:i + _WRITE_SLICE]) for i in slices)))
+    meta_path = None
     if args.out is not None:
         meta_path = Path(args.out).with_suffix(Path(args.out).suffix + ".meta.json")
-        with _output(meta_path) as fh:
-            fh.write(json.dumps(synth.simulation_metadata(config), indent=2) + "\n")
+    with _report(args) as out, _output(meta_path) as meta:
+        out.writelines(chain([line(corpus.RECORD_HEADER)],
+                             ("".join(repeated[i:i + _WRITE_SLICE]) for i in slices)))
+        if meta is not None:
+            meta.write(json.dumps(synth.simulation_metadata(config), indent=2) + "\n")
     return EXIT_OK
 
 

@@ -8,14 +8,17 @@ rather than silently dropped so that sample construction stays auditable.
 :func:`iter_records` streams a record file: it maps the header to column
 positions once, then validates each row's fields once and yields a
 :class:`NameRecord` or a :class:`RejectedRow`, in input order.
-:class:`RecordScan` runs that stream through the inclusion filters and the
-coding table, truncating and coding each name once, and :class:`CohortIndex`
-counts the kept rows by (birth year, corrected sex, standardized name) in
-the same pass.  Every cohort for the index's default ages is then a sum
-over year buckets, so memory grows with distinct names times birth years,
-not with rows.  :func:`parse_records`, :func:`filter_records` and
-:func:`build_cohort` are the list-based and per-cohort forms of the same
-steps.
+:class:`RecordScan` does the parse, the inclusion filters and the coding
+table in one pass, but decodes each distinct raw text of a column only
+once, into per-column memo dicts, so that a kept row costs a few dict
+lookups and builds no :class:`NameRecord`; a rejected row goes through
+:func:`_parse_fields` and :func:`filter_reason`, which name its reason.
+:class:`CohortIndex` counts the kept rows by (birth year, corrected sex,
+standardized name) in the same pass.  Every cohort for the index's default
+ages is then a sum over year buckets, so memory grows with distinct names
+times birth years, not with rows.  :func:`parse_records`,
+:func:`filter_records` and :func:`build_cohort` are the list-based and
+per-cohort forms of the same steps.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .standardize import (
     CodingTable,
@@ -173,6 +177,15 @@ class FilterResult:
     rejected: list[tuple[NameRecord, str]]
 
 
+def _bounded_int(text: str, low: int, high: int) -> int | None:
+    """``int(text)`` when it parses and lies in [low, high], else None."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if low <= value <= high else None
+
+
 def _parse_fields(fields: list[str]) -> NameRecord | str:
     """A record from stripped fields in ``RECORD_HEADER`` order, or a reject reason."""
     name, sex_code, age_text, year_text, kind_text, location, native_text = fields
@@ -181,20 +194,12 @@ def _parse_fields(fields: list[str]) -> NameRecord | str:
     sex = _SEX_CODES.get(sex_code.upper())
     if sex is None:
         return "bad_sex"
-    try:
-        year = int(year_text)
-    except ValueError:
+    year = _bounded_int(year_text, YEAR_MIN, YEAR_MAX)
+    if year is None:
         return "bad_year"
-    if not YEAR_MIN <= year <= YEAR_MAX:
-        return "bad_year"
-    age: int | None = None
-    if age_text:
-        try:
-            age = int(age_text)
-        except ValueError:
-            return "bad_age"
-        if not AGE_MIN <= age <= AGE_MAX:
-            return "bad_age"
+    age = _bounded_int(age_text, AGE_MIN, AGE_MAX) if age_text else None
+    if age_text and age is None:
+        return "bad_age"
     kind = _KINDS.get(kind_text.lower())
     if kind is None:
         return "bad_kind"
@@ -206,20 +211,41 @@ def _parse_fields(fields: list[str]) -> NameRecord | str:
     )
 
 
-def _iter_rows(reader, header: list[str]) -> Iterator[NameRecord | RejectedRow]:
-    # a repeated column name reads its last occurrence, as csv.DictReader does
+def _read_header(stream: IO[str]) -> tuple[Iterator[list[str]], list[int], int]:
+    """The row reader, each ``RECORD_HEADER`` column's position and the row width.
+
+    An absent optional column's position is the width: it reads the empty
+    field appended to each full row.  A repeated column name reads its last
+    occurrence, as csv.DictReader does.
+    """
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("record file is empty")
+    missing = set(MANDATORY_COLUMNS) - set(header)
+    if missing:
+        raise ParseError(f"record file missing mandatory columns: {sorted(missing)}")
     position = {col: i for i, col in enumerate(header)}
     width = len(header)
-    # absent optional columns read the empty field appended to each full row
-    columns = [position.get(col, width) for col in RECORD_HEADER]
+    return reader, [position.get(col, width) for col in RECORD_HEADER], width
+
+
+def _malformed(row: list[str], columns: list[int], width: int) -> RejectedRow:
+    """A row whose field count differs from the header's, with its unstripped texts."""
+    n = min(len(row), width)
+    return RejectedRow(
+        {col: row[i] if i < n else "" for col, i in zip(RECORD_HEADER, columns)},
+        "malformed_row",
+    )
+
+
+def _iter_rows(
+    reader, columns: list[int], width: int
+) -> Iterator[NameRecord | RejectedRow]:
     for row in reader:
         if len(row) != width:
             if row:  # a blank line is skipped, not rejected
-                yield RejectedRow(
-                    {col: row[i] if (i := position.get(col, len(row))) < len(row) else ""
-                     for col in RECORD_HEADER},
-                    "malformed_row",
-                )
+                yield _malformed(row, columns, width)
             continue
         row.append("")
         fields = [row[i].strip() for i in columns]
@@ -239,14 +265,7 @@ def iter_records(stream: IO[str]) -> Iterator[NameRecord | RejectedRow]:
     called, and :class:`ParseError` raised then, for stream-level
     problems: no header, or the mandatory name/sex/year columns missing.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None:
-        raise ParseError("record file is empty")
-    missing = set(MANDATORY_COLUMNS) - set(header)
-    if missing:
-        raise ParseError(f"record file missing mandatory columns: {sorted(missing)}")
-    return _iter_rows(reader, header)
+    return _iter_rows(*_read_header(stream))
 
 
 def parse_records(stream: IO[str]) -> ParseResult:
@@ -260,6 +279,15 @@ def parse_records(stream: IO[str]) -> ParseResult:
     for item in iter_records(stream):
         (rejected if isinstance(item, RejectedRow) else records).append(item)
     return ParseResult(records, rejected)
+
+
+def _name_reason(letters: str, policy: FilterPolicy) -> str | None:
+    """``single_letter`` or ``generic`` when the truncated name alone rejects a record."""
+    if len(letters) == 0 or (policy.drop_single_letter and len(letters) == 1):
+        return "single_letter"
+    if letters in policy.generic_names:
+        return "generic"
+    return None
 
 
 def filter_reason(
@@ -277,10 +305,9 @@ def filter_reason(
     ``unparseable_sex`` (recorded sex unknown and the coding table, when
     given, has no override for the standardized name).
     """
-    if len(letters) == 0 or (policy.drop_single_letter and len(letters) == 1):
-        return "single_letter"
-    if letters in policy.generic_names:
-        return "generic"
+    reason = _name_reason(letters, policy)
+    if reason is not None:
+        return reason
     if policy.require_native_born and record.native_born is not True:
         return "non_native"
     if record.sex is Sex.UNKNOWN:
@@ -313,38 +340,135 @@ def filter_records(
     return FilterResult(kept, rejected)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``decode(key)`` on first lookup."""
+
+    def __init__(self, decode: Callable[[str], object]):
+        super().__init__()
+        self._decode = decode
+
+    def __missing__(self, key):
+        value = self[key] = self._decode(key)
+        return value
+
+
+_NATIVE_TEXT = {None: "", True: "true", False: "false"}
+
+
+def _field_decoders(policy: FilterPolicy, table: CodingTable) -> dict[str, Callable]:
+    """For each column but location: raw field text -> decoded output text, or
+    None when that text alone rejects the row under ``policy``.
+
+    A name decodes to its standardized name and the coding table's sex
+    override code for it (None when it has none).
+    """
+    sexes = {code: sex.value for code, sex in _SEX_CODES.items()}
+    kinds = {text: kind.value for text, kind in _KINDS.items()}
+    natives = {text: _NATIVE_TEXT[native] for text, native in _NATIVE_BORN.items()
+               if native is True or not policy.require_native_born}
+
+    def code(letters: str) -> tuple[str, str | None]:
+        std = apply_coding(table, letters)
+        override = correct_sex(table, std, Sex.UNKNOWN)
+        return std, None if override is Sex.UNKNOWN else override.value
+
+    # raw names that truncate alike (case, initials) share one decoded tuple
+    coded = _Memo(code)
+
+    def name(raw: str) -> tuple[str, str | None] | None:
+        letters = leading_letters(raw)
+        if _name_reason(letters, policy) is not None:  # also an empty name
+            return None
+        return coded[letters]
+
+    def number(low: int, high: int) -> Callable[[str], str | None]:
+        def decode(raw: str) -> str | None:
+            value = _bounded_int(raw.strip(), low, high)
+            return None if value is None else str(value)
+        return decode
+
+    age = number(AGE_MIN, AGE_MAX)
+    return {
+        "name": name,
+        "sex": lambda raw: sexes.get(raw.strip().upper()),
+        "age": lambda raw: age(raw) if raw.strip() else "",
+        "year": number(YEAR_MIN, YEAR_MAX),
+        "kind": lambda raw: kinds.get(raw.strip().lower()),
+        "native_born": lambda raw: natives.get(raw.strip().lower()),
+    }
+
+
 class RecordScan:
     """One streaming pass that parses, filters and standardizes each row once.
 
-    Iterating yields ``(record, name, sex)`` for each kept row in input
-    order: the parsed record, its standardized name and its sex after
-    coding-table correction.  Rejected rows collect in ``parse_rejected``
-    and ``filter_rejected`` as the pass reaches them, each in input order,
-    as :func:`parse_records` and :func:`filter_records` would reject them.
-    The header is read, and :class:`ParseError` raised, on construction.
-    The rows can be iterated once.
+    Iterating yields each kept row in input order as its standardized
+    record row: a tuple of seven field texts in ``RECORD_HEADER`` order,
+    with the standardized name, the sex after coding-table correction, and
+    each other field as :func:`record_to_row` writes it.  Rejected rows
+    collect in ``parse_rejected`` and ``filter_rejected`` as the pass reaches
+    them, each in input order, as :func:`parse_records` and
+    :func:`filter_records` would reject them.  The header is read, and
+    :class:`ParseError` raised, on construction.  The rows can be iterated
+    once.
+
+    Field texts repeat heavily, so each column but location is decoded
+    through ``memos[column]``, a dict from raw (unstripped) field text to
+    its output text that is filled the first time a text is seen.  A row
+    with any text that decodes to a reject, or whose corrected sex is
+    still unknown, goes once through :func:`_parse_fields` and
+    :func:`filter_reason`, which give its exact reason.
     """
 
     def __init__(self, stream: IO[str], policy: FilterPolicy, table: CodingTable):
-        self._items = iter_records(stream)
+        self._reader, self._columns, self._width = _read_header(stream)
         self._policy = policy
         self._table = table
+        self.memos = {
+            col: _Memo(decode) for col, decode in _field_decoders(policy, table).items()
+        }
         self.parse_rejected: list[RejectedRow] = []
         self.filter_rejected: list[tuple[NameRecord, str]] = []
 
-    def __iter__(self) -> Iterator[tuple[NameRecord, str, Sex]]:
-        policy, table = self._policy, self._table
-        for item in self._items:
-            if isinstance(item, RejectedRow):
-                self.parse_rejected.append(item)
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        names, sexes, ages, years, kinds, natives = (
+            self.memos[col] for col in RECORD_HEADER if col != "location"
+        )
+        fields = itemgetter(*self._columns)
+        width = self._width
+        for row in self._reader:
+            if len(row) != width:
+                if row:  # a blank line is skipped, not rejected
+                    self.parse_rejected.append(_malformed(row, self._columns, width))
                 continue
-            letters = leading_letters(item.raw_name)
-            reason = filter_reason(item, letters, policy, table)
-            if reason is not None:
-                self.filter_rejected.append((item, reason))
+            row.append("")
+            raw = fields(row)
+            coded = names[raw[0]]
+            sex = sexes[raw[1]]
+            age = ages[raw[2]]
+            year = years[raw[3]]
+            kind = kinds[raw[4]]
+            native = natives[raw[6]]
+            if coded is not None and sex is not None:
+                name, override = coded
+                sex = override or sex
+            if (coded is None or sex is None or sex == "U" or age is None
+                    or year is None or kind is None or native is None):
+                self._reject([text.strip() for text in raw])
                 continue
-            name = apply_coding(table, letters)
-            yield item, name, correct_sex(table, name, item.sex)
+            yield name, sex, age, year, kind, raw[5].strip(), native
+
+    def _reject(self, fields: list[str]) -> None:
+        """Record the reject reason of a row with stripped ``fields``."""
+        parsed = _parse_fields(fields)
+        if isinstance(parsed, str):
+            self.parse_rejected.append(RejectedRow(dict(zip(RECORD_HEADER, fields)),
+                                                   parsed))
+            return
+        reason = filter_reason(parsed, leading_letters(parsed.raw_name), self._policy,
+                               self._table)
+        if reason is None:
+            raise RuntimeError(f"row {fields} decodes to a reject but is kept")
+        self.filter_rejected.append((parsed, reason))
 
 
 def _birth_year(
@@ -406,27 +530,36 @@ def build_cohort(
 class CohortIndex:
     """Standardized-name counts by birth year and corrected sex.
 
-    Built in one pass over ``(record, name, sex)`` triples, as
-    :class:`RecordScan` yields them, for one pair of default ages.  A
-    cohort whose spec has those defaults is then a sum over the year
-    buckets in its span, equal to :func:`build_cohort` over the same
-    records.  Records whose birth year cannot be resolved are not counted.
+    Built in one pass over the kept rows, as :class:`RecordScan` yields
+    them, for one pair of default ages.  A cohort whose spec has those
+    defaults is then a sum over the year buckets in its span, equal to
+    :func:`build_cohort` over the same records.  Rows whose birth year
+    cannot be resolved are not counted.  Buckets are keyed by (birth year,
+    sex code), so counting a row hashes no enum.
     """
 
     def __init__(
         self,
-        kept: Iterable[tuple[NameRecord, str, Sex]],
+        kept: Iterable[Sequence[str]],
         default_age_marriage: int = 25,
         default_age_adult: int = 35,
     ):
         self.default_ages = (default_age_marriage, default_age_adult)
-        self._buckets: dict[tuple[int, Sex], dict[str, int]] = {}
-        for record, name, sex in kept:
-            birth_year = _birth_year(record, default_age_marriage, default_age_adult)
-            if birth_year is None:
+        # the age a row without one is assumed to have, by kind, as _birth_year does
+        assumed = {
+            RecordKind.BIRTH_REGISTER.value: 0,
+            RecordKind.MARRIAGE.value: default_age_marriage,
+            RecordKind.ADULT_ROSTER.value: default_age_adult,
+        }
+        number = _Memo(int)
+        buckets: dict[tuple[int, str], dict[str, int]] = {}
+        for name, sex, age_text, year_text, kind, _, _ in kept:
+            age = number[age_text] if age_text else assumed.get(kind)
+            if age is None:
                 continue
-            bucket = self._buckets.setdefault((birth_year, sex), {})
+            bucket = buckets.setdefault((number[year_text] - age, sex), {})
             bucket[name] = bucket.get(name, 0) + 1
+        self._buckets = buckets
 
     def cohort(self, spec: CohortSpec) -> Cohort:
         """The cohort for ``spec``; its default ages must be the index's."""
@@ -437,7 +570,9 @@ class CohortIndex:
             )
         names: Counter = Counter()
         for (birth_year, sex), bucket in self._buckets.items():
-            if sex is spec.sex and spec.birth_year_start <= birth_year <= spec.birth_year_end:
+            if sex == spec.sex.value and (
+                spec.birth_year_start <= birth_year <= spec.birth_year_end
+            ):
                 names.update(bucket)
         return Cohort(spec, names)
 
@@ -465,16 +600,20 @@ def record_to_row(record: NameRecord) -> list[str]:
         str(record.record_year),
         record.record_kind.value,
         record.location or "",
-        "" if record.native_born is None else str(record.native_born).lower(),
+        _NATIVE_TEXT[record.native_born],
     ]
+
+
+def write_rows(rows: Iterable[Sequence[str]], stream: IO[str]) -> None:
+    """Write field-text rows in ``RECORD_HEADER`` order as a record file."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(RECORD_HEADER)
+    writer.writerows(rows)
 
 
 def write_records(records: Iterable[NameRecord], stream: IO[str]) -> None:
     """Write records in the standard record-file format."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(RECORD_HEADER)
-    for record in records:
-        writer.writerow(record_to_row(record))
+    write_rows(map(record_to_row, records), stream)
 
 
 def write_rejection_report(

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .commstats import AlignedPair, CommResult, comm_from_pair
 from .popstats import FrequencyTable, ranked
 
@@ -90,6 +88,8 @@ def fit_ranked_frequencies(
     rank j is the 1-based position.  R-squared of a constant series is
     defined as 1 when the line reproduces it exactly.
     """
+    import numpy as np
+
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.ndim != 1 or len(freqs) < 3:
         raise InsufficientPointsError(

@@ -34,12 +34,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .corpus import Cohort, CohortSpec, NameRecord, RecordKind
 from .standardize import MAX_NAME_LEN, Sex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -89,6 +90,8 @@ def _simulate_labels(config: SimulationConfig) -> tuple[list[str], np.ndarray]:
 
     ``names`` holds one entry per root in order of first appearance.
     """
+    import numpy as np
+
     namefn = config.name_alphabet or sequential_name
     rng = np.random.Generator(np.random.PCG64(config.seed))
     innovate = rng.random(config.births) < config.innovation_rate
@@ -119,6 +122,8 @@ def simulate_naming(config: SimulationConfig) -> Cohort:
     earlier individuals including them.  The counter's keys are in order
     of first appearance.
     """
+    import numpy as np
+
     names, labels = _simulate_labels(config)
     counts: Counter[str] = Counter()
     for name, n in zip(names, np.bincount(labels).tolist()):
@@ -154,6 +159,8 @@ def simulate_records(config: SimulationConfig) -> list[NameRecord]:
 
 def repeat_by_label(items: list, labels: np.ndarray) -> list:
     """``[items[j] for j in labels]``, indexed in one numpy pass."""
+    import numpy as np
+
     return np.fromiter(items, dtype=object, count=len(items))[labels].tolist()
 
 

@@ -1,8 +1,13 @@
 from collections import Counter
 
 import pytest
+from hypothesis import settings
 
 from namestats import Cohort, CohortSpec, Sex, load_demo_table
+
+# CI selects this with `pytest --hypothesis-profile=ci`; properties that set
+# their own max_examples keep it
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,17 @@
 streaming parser replaced; the property tests in ``test_corpus.py`` require
 both to give equal records and equal rejects, in the same order.
 ``leading_letters`` is the letter-by-letter truncation loop that
-``standardize.leading_letters`` replaced.
+``standardize.leading_letters`` replaced.  ``RecordScan``, ``cohort_buckets``
+and ``ingest`` are the row-at-a-time scan, cohort index and ``ingest``
+writer that the memoized ``corpus.RecordScan`` replaced: one ``NameRecord``
+per row, then truncation, filtering, coding and sex correction.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import IO
+import io
+from typing import IO, Iterable, Iterator
 
 from namestats.corpus import (
     AGE_MAX,
@@ -19,13 +23,21 @@ from namestats.corpus import (
     RECORD_HEADER,
     YEAR_MAX,
     YEAR_MIN,
+    AgeUnresolvableError,
+    CohortSpec,
+    FilterPolicy,
     NameRecord,
     ParseError,
     ParseResult,
     RecordKind,
     RejectedRow,
+    assign_birth_year,
+    filter_reason,
+    iter_records,
+    write_records,
+    write_rejection_report,
 )
-from namestats.standardize import MAX_NAME_LEN, Sex
+from namestats.standardize import MAX_NAME_LEN, CodingTable, Sex, apply_coding, correct_sex
 
 
 def leading_letters(raw: str) -> str:
@@ -126,3 +138,60 @@ def parse_records(stream: IO[str]) -> ParseResult:
         else:
             records.append(parsed)
     return ParseResult(records, rejected)
+
+
+class RecordScan:
+    """Yields ``(record, name, sex)`` for each kept row, collecting rejects."""
+
+    def __init__(self, stream: IO[str], policy: FilterPolicy, table: CodingTable):
+        self._items = iter_records(stream)
+        self._policy = policy
+        self._table = table
+        self.parse_rejected: list[RejectedRow] = []
+        self.filter_rejected: list[tuple[NameRecord, str]] = []
+
+    def __iter__(self) -> Iterator[tuple[NameRecord, str, Sex]]:
+        policy, table = self._policy, self._table
+        for item in self._items:
+            if isinstance(item, RejectedRow):
+                self.parse_rejected.append(item)
+                continue
+            letters = leading_letters(item.raw_name)
+            reason = filter_reason(item, letters, policy, table)
+            if reason is not None:
+                self.filter_rejected.append((item, reason))
+                continue
+            name = apply_coding(table, letters)
+            yield item, name, correct_sex(table, name, item.sex)
+
+
+def cohort_buckets(
+    kept: Iterable[tuple[NameRecord, str, Sex]],
+    default_age_marriage: int,
+    default_age_adult: int,
+) -> dict[tuple[int, Sex], dict[str, int]]:
+    """Standardized-name counts by (birth year, corrected sex)."""
+    buckets: dict[tuple[int, Sex], dict[str, int]] = {}
+    for record, name, sex in kept:
+        spec = CohortSpec(sex, 0, 0, default_age_marriage, default_age_adult)
+        try:
+            birth_year = assign_birth_year(record, spec)
+        except AgeUnresolvableError:
+            continue
+        bucket = buckets.setdefault((birth_year, sex), {})
+        bucket[name] = bucket.get(name, 0) + 1
+    return buckets
+
+
+def ingest(text: str, policy: FilterPolicy, table: CodingTable) -> tuple[str, str]:
+    """``ingest``'s --out and --rejects texts for a record file's text."""
+    scan = RecordScan(io.StringIO(text, newline=""), policy, table)
+    out, rejects = io.StringIO(), io.StringIO()
+    write_records(
+        (NameRecord(name, sex, r.record_year, r.record_kind, r.age, r.location,
+                    r.native_born)
+         for r, name, sex in scan),
+        out,
+    )
+    write_rejection_report(scan.parse_rejected, scan.filter_rejected, rejects)
+    return out.getvalue(), rejects.getvalue()

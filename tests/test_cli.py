@@ -2,6 +2,9 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -542,6 +545,37 @@ class TestErrorPaths:
         assert code == 1
         assert f"argument {flags[0]}: must be an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--span", "1870:1879", "--min-count", "-3"],
+         "argument --min-count: must be an integer >= 1"),
+        (["fit", "--span", "1870:1879", "--min-count", "0"],
+         "argument --min-count: must be an integer >= 1"),
+        (["comm", "--span1", "1870:1879", "--span2", "1880:1889", "--years", "-10"],
+         "argument --years: must be a number > 0"),
+        (["comm", "--span1", "1870:1879", "--span2", "1880:1889", "--years", "nan"],
+         "argument --years: must be a number > 0"),
+    ])
+    def test_nonpositive_count_or_years_exit_1_before_reading(self, tmp_path, capsys,
+                                                              argv, message):
+        code = main([*argv, "--records", str(tmp_path / "absent.csv")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_unwritable_chart_leaves_no_report(self, mini_corpus, tmp_path):
+        out = tmp_path / "fit.csv"
+        code = main(["fit", "--records", str(mini_corpus), "--span", "1870:1879",
+                     "--sex", "F", "--min-count", "1", "--out", str(out),
+                     "--chart", str(tmp_path / "no" / "chart.csv")])
+        assert code == 1
+        assert not out.exists()
+
+    def test_unwritable_rejects_leaves_no_out(self, mini_corpus, tmp_path):
+        out = tmp_path / "out.csv"
+        code = main(["ingest", "--records", str(mini_corpus), "--out", str(out),
+                     "--rejects", str(tmp_path / "no" / "rej.csv")])
+        assert code == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, field", [
         ("--marriage-age=-50", "default_age_marriage -50"),
         ("--adult-age=111", "default_age_adult 111"),
@@ -632,3 +666,13 @@ class TestFlagsAreRead:
         assert main([*argv, flag, value]) == 1
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestImports:
+    def test_cli_import_loads_no_numpy(self):
+        src = Path(cli.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import sys, namestats.cli; print('numpy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"

@@ -1,11 +1,14 @@
 import csv
 import io
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import namestats
 from namestats import (
     AgeUnresolvableError,
     CodingTable,
@@ -22,11 +25,14 @@ from namestats import (
     parse_records,
     write_records,
 )
+from namestats.cli import main
 from namestats.corpus import (
+    DEFAULT_GENERIC_NAMES,
     RECORD_HEADER,
     CohortIndex,
     RecordScan,
     iter_records,
+    record_to_row,
     write_rejection_report,
 )
 
@@ -414,3 +420,78 @@ class TestCohortIndex:
         index = CohortIndex([], default_age_marriage=25, default_age_adult=35)
         with pytest.raises(ValueError, match="default ages"):
             index.cohort(CohortSpec(Sex.FEMALE, 1870, 1879, default_age_marriage=27))
+
+
+DEMO_TABLE = Path(namestats.__file__).parent / "data" / "demo_coding.csv"
+
+
+def _stream(text: str) -> io.StringIO:
+    """``text`` read as the CLI reads --records, with newline=""."""
+    return io.StringIO(text, newline="")
+
+
+class TestMemoizedScanMatchesReference:
+    """The memoized scan against the row-at-a-time scan it replaced."""
+
+    @settings(deadline=None)
+    @given(
+        text=record_files(),
+        native=st.booleans(),
+        generic=st.lists(st.sampled_from(["Mary", "zelda", " Ann", "Mar"]), max_size=2),
+        ages=st.tuples(st.integers(15, 40), st.integers(15, 40)),
+    )
+    # a bad sex code on a name the table overrides is still a reject
+    @example(
+        text=records_csv(["Mary,X,5,1880,census,,", "Mary,U,,1880,marriage,,",
+                          "Zelda,U,5,1880,census,,",
+                          " Maria , f ,+7,1_880,Census,York,YES"]),
+        native=False, generic=[], ages=(25, 35),
+    )
+    def test_rows_buckets_rejects_and_ingest_bytes_equal(self, demo_table, text, native,
+                                                         generic, ages):
+        policy = FilterPolicy(
+            generic_names=DEFAULT_GENERIC_NAMES | {g.upper() for g in generic},
+            require_native_born=native,
+        )
+        ref = reference_corpus.RecordScan(_stream(text), policy, demo_table)
+        ref_kept = list(ref)
+        scan = RecordScan(_stream(text), policy, demo_table)
+        rows = list(scan)
+
+        assert rows == [
+            tuple(record_to_row(NameRecord(name, sex, r.record_year, r.record_kind,
+                                           r.age, r.location, r.native_born)))
+            for r, name, sex in ref_kept
+        ]
+        assert scan.parse_rejected == ref.parse_rejected
+        assert scan.filter_rejected == ref.filter_rejected
+        index = CohortIndex(rows, *ages)
+        buckets = {(year, Sex(sex)): b for (year, sex), b in index._buckets.items()}
+        assert buckets == reference_corpus.cohort_buckets(ref_kept, *ages)
+
+        want_out, want_rejects = reference_corpus.ingest(text, policy, demo_table)
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out, rejects = (Path(tmp) / n for n in ("in.csv", "out.csv", "rej.csv"))
+            src.write_text(text, encoding="utf-8", newline="")
+            argv = ["ingest", "--records", str(src), "--coding-table", str(DEMO_TABLE),
+                    "--out", str(out), "--rejects", str(rejects)]
+            argv += ["--require-native-born"] * native
+            for name in generic:
+                argv.append(f"--generic={name}")
+            assert main(argv) == 0
+            assert out.read_bytes() == want_out.encode("utf-8")
+            assert rejects.read_bytes() == want_rejects.encode("utf-8")
+
+    @given(text=record_files(), native=st.booleans())
+    def test_memo_keys_are_the_distinct_raw_texts(self, demo_table, text, native):
+        policy = FilterPolicy(require_native_born=native)
+        scan = RecordScan(_stream(text), policy, demo_table)
+        for _ in scan:
+            pass
+        header, *body = csv.reader(_stream(text))
+        body = [row for row in body if len(row) == len(header)]
+        position = {col: i for i, col in enumerate(header)}
+        assert set(scan.memos) == set(RECORD_HEADER) - {"location"}
+        for col, memo in scan.memos.items():
+            texts = {row[position[col]] if col in position else "" for row in body}
+            assert set(memo) == texts
