@@ -22,8 +22,10 @@ into a birth-year cohort index, so memory grows with distinct names times
 birth years, not with rows, and every cohort is then read from the index.
 Reports are written in (cohort span, sex) order and are byte-identical
 across runs.  All output files are opened before the first report byte is
-written; when one cannot be, the run exits 1 and removes the ones it
-created.  --min-count must be at least 1 and --years above 0.
+written.  Each is written beside its path and moved onto it only when the
+run succeeds, so a run that exits 1 leaves every output path as it was,
+and --out may name --records.  Errors name the path that failed.
+--min-count must be at least 1 and --years above 0.
 
 simulate renders the CSV row of each distinct simulated name once and
 repeats it by label in birth order, so it never holds one record per birth;
@@ -36,8 +38,10 @@ import argparse
 import io
 import json
 import os
+import secrets
+import stat
 import sys
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -201,11 +205,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_input(path: str, **kwargs):
+class _File(io.FileIO):
+    """A file whose read and write errors are CliErrors naming ``label``."""
+
+    def __init__(self, file, mode: str, label: str):
+        super().__init__(file, mode)
+        self.label = label
+
+    def readinto(self, buffer):
+        try:
+            return super().readinto(buffer)
+        except OSError as exc:
+            raise CliError(f"cannot read {self.label}: {exc}", EXIT_PARSE) from exc
+
+    def write(self, data):
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise CliError(f"cannot write {self.label}: {exc}", EXIT_PARSE) from exc
+
+
+def _open_input(path: str, newline: str | None = None):
     try:
-        return open(path, encoding="utf-8", **kwargs)
+        raw = _File(path, "r", path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline=newline)
 
 
 def _load_table(args) -> CodingTable:
@@ -235,38 +260,81 @@ def _scan_records(args):
         )
 
 
-@contextmanager
-def _output(path, **kwargs):
-    """``path`` opened for writing, or None when ``path`` is None.
+def _open_output(path: str) -> tuple[io.TextIOWrapper, str | None, str]:
+    """``path`` opened for writing; the file actually written when that is a
+    new one beside ``path`` (else None); and the file ``path`` names.
 
-    The body only writes to it, so any OSError is a failure to write
-    ``path``.  When the body fails, as when a later output cannot be
-    opened, a file this call created is removed again.
+    A regular file, or a path that names nothing yet, is written through a
+    new file in the same directory, created with the old file's permissions.
+    Anything else, such as /dev/null or a pipe, is written in place.
     """
-    if path is None:
-        yield None
-        return
-    created = not os.path.exists(path)
+    target = os.path.realpath(path)
+    staged = None
     try:
-        with open(path, "w", encoding="utf-8", **kwargs) as fh:
-            yield fh
-    except BaseException as exc:
-        if created:
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            raw = _File(path, "w", path)
+        else:
+            if mode is not None:  # fails where opening it to write would
+                os.close(os.open(target, os.O_WRONLY))
+            directory, name = os.path.split(target)
+            staged = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+            flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+            fd = os.open(staged, flags, 0o666 if mode is None else stat.S_IMODE(mode))
+            raw = _File(fd, "w", path)
+    except OSError as exc:
+        # named by the path given, not the file opened for it
+        reason = OSError(exc.errno, exc.strerror, path)
+        raise CliError(f"cannot write {path}: {reason}", EXIT_PARSE)
+    fh = io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="")
+    return fh, staged, target
+
+
+@contextmanager
+def _outputs(out: str | None, *others: str | None):
+    """Text files for --out (stdout when None) and each of ``others`` (None
+    when None), opened before the body writes anything.
+
+    A file written beside its path (see :func:`_open_output`) replaces the
+    path only after the body returns and every output is closed, so a run
+    that fails leaves each output path as it was, and --out may name
+    --records.  Errors are CliErrors naming the path that failed.
+    """
+    opened, staged = [], []
+    try:
+        for path in (out, *others):
+            if path is not None:
+                fh, tmp, target = _open_output(path)
+                opened.append(fh)
+                if tmp is not None:
+                    staged.append((tmp, target, path))
+        files = iter(opened)
+        yield [sys.stdout if out is None else next(files)] + [
+            None if path is None else next(files) for path in others
+        ]
+        for fh in opened:
+            fh.close()
+        for tmp, target, path in staged:
+            try:
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
+    except BaseException:
+        for fh in opened:
+            with suppress(CliError, OSError):
+                fh.close()
+        for tmp, _, _ in staged:
             with suppress(OSError):
-                os.remove(path)
-        if isinstance(exc, OSError):
-            raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
+                os.remove(tmp)
         raise
 
 
-def _report(args):
-    """--out opened for writing, or stdout."""
-    return nullcontext(sys.stdout) if args.out is None else _output(args.out)
-
-
 def _write(args, chunks: Iterable[str]) -> None:
-    with _report(args) as fh:
-        fh.writelines(chunks)
+    with _outputs(args.out) as (out,):
+        out.writelines(chunks)
 
 
 def _spec(args, sex: Sex, span: tuple[int, int]) -> CohortSpec:
@@ -280,8 +348,7 @@ def _spec(args, sex: Sex, span: tuple[int, int]) -> CohortSpec:
 
 
 def _cmd_ingest(args) -> int:
-    with (_scan_records(args) as scan, _report(args) as out,
-          _output(args.rejects, newline="") as rejects):
+    with _scan_records(args) as scan, _outputs(args.out, args.rejects) as (out, rejects):
         corpus.write_rows(scan, out)
         if rejects is not None:
             corpus.write_rejection_report(scan.parse_rejected, scan.filter_rejected,
@@ -359,7 +426,7 @@ def _cmd_fit(args) -> int:
         return ftable, fit_rank_frequency(ftable, args.min_count)
 
     rows = _each_cohort(args, jobs, fit)
-    with _report(args) as out, _output(args.chart) as chart:
+    with _outputs(args.out, args.chart) as (out, chart):
         out.write(reports.render_fits([(l, s, f) for l, s, (_, f) in rows], args.format))
         if chart is not None:
             _, _, (ftable, _) = rows[0]
@@ -417,7 +484,7 @@ def _cmd_simulate(args) -> int:
     meta_path = None
     if args.out is not None:
         meta_path = Path(args.out).with_suffix(Path(args.out).suffix + ".meta.json")
-    with _report(args) as out, _output(meta_path) as meta:
+    with _outputs(args.out, meta_path) as (out, meta):
         out.writelines(chain([line(corpus.RECORD_HEADER)],
                              ("".join(repeated[i:i + _WRITE_SLICE]) for i in slices)))
         if meta is not None:

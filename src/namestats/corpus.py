@@ -9,10 +9,12 @@ rather than silently dropped so that sample construction stays auditable.
 positions once, then validates each row's fields once and yields a
 :class:`NameRecord` or a :class:`RejectedRow`, in input order.
 :class:`RecordScan` does the parse, the inclusion filters and the coding
-table in one pass, but decodes each distinct raw text of a column only
-once, into per-column memo dicts, so that a kept row costs a few dict
-lookups and builds no :class:`NameRecord`; a rejected row goes through
-:func:`_parse_fields` and :func:`filter_reason`, which name its reason.
+table in one pass, but decodes each distinct truncated name and each
+distinct raw text of the other columns only once, into per-column memo
+dicts filled by the same per-field parsers and filter rules, so that a
+kept row costs a few dict lookups and builds no :class:`NameRecord`; a
+rejected row goes through :func:`_parse_fields` and :func:`filter_reason`,
+which name its reason.
 :class:`CohortIndex` counts the kept rows by (birth year, corrected sex,
 standardized name) in the same pass.  Every cohort for the index's default
 ages is then a sum over year buckets, so memory grows with distinct names
@@ -27,7 +29,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .standardize import (
@@ -177,38 +179,64 @@ class FilterResult:
     rejected: list[tuple[NameRecord, str]]
 
 
-def _bounded_int(text: str, low: int, high: int) -> int | None:
-    """``int(text)`` when it parses and lies in [low, high], else None."""
+# what a field parser returns for a text that rejects the row
+_BAD = object()
+
+
+def _bounded_int(text: str, low: int, high: int) -> int | object:
+    """``int(text)`` when it parses and lies in [low, high], else ``_BAD``."""
     try:
         value = int(text)
     except ValueError:
-        return None
-    return value if low <= value <= high else None
+        return _BAD
+    return value if low <= value <= high else _BAD
+
+
+# Per-field parsers of a stripped field text: the field's value, or _BAD.
+# _parse_fields and RecordScan's memos both decode through them.
+
+def _parse_sex(text: str) -> Sex | object:
+    return _SEX_CODES.get(text.upper(), _BAD)
+
+
+def _parse_year(text: str) -> int | object:
+    return _bounded_int(text, YEAR_MIN, YEAR_MAX)
+
+
+def _parse_age(text: str) -> int | None | object:
+    """None for an empty text: the age is absent."""
+    return _bounded_int(text, AGE_MIN, AGE_MAX) if text else None
+
+
+def _parse_kind(text: str) -> RecordKind | object:
+    return _KINDS.get(text.lower(), _BAD)
+
+
+def _parse_native_born(text: str) -> bool | None | object:
+    return _NATIVE_BORN.get(text.lower(), _BAD)
 
 
 def _parse_fields(fields: list[str]) -> NameRecord | str:
     """A record from stripped fields in ``RECORD_HEADER`` order, or a reject reason."""
-    name, sex_code, age_text, year_text, kind_text, location, native_text = fields
+    name, sex_text, age_text, year_text, kind_text, location, native_text = fields
     if not name:
         return "empty_name"
-    sex = _SEX_CODES.get(sex_code.upper())
-    if sex is None:
+    sex = _parse_sex(sex_text)
+    if sex is _BAD:
         return "bad_sex"
-    year = _bounded_int(year_text, YEAR_MIN, YEAR_MAX)
-    if year is None:
+    year = _parse_year(year_text)
+    if year is _BAD:
         return "bad_year"
-    age = _bounded_int(age_text, AGE_MIN, AGE_MAX) if age_text else None
-    if age_text and age is None:
+    age = _parse_age(age_text)
+    if age is _BAD:
         return "bad_age"
-    kind = _KINDS.get(kind_text.lower())
-    if kind is None:
+    kind = _parse_kind(kind_text)
+    if kind is _BAD:
         return "bad_kind"
-    native_text = native_text.lower()
-    if native_text not in _NATIVE_BORN:
+    native_born = _parse_native_born(native_text)
+    if native_born is _BAD:
         return "bad_native_born"
-    return NameRecord(
-        name, sex, year, kind, age, location or None, _NATIVE_BORN[native_text]
-    )
+    return NameRecord(name, sex, year, kind, age, location or None, native_born)
 
 
 def _read_header(stream: IO[str]) -> tuple[Iterator[list[str]], list[int], int]:
@@ -290,6 +318,13 @@ def _name_reason(letters: str, policy: FilterPolicy) -> str | None:
     return None
 
 
+def _native_reason(native_born: bool | None, policy: FilterPolicy) -> str | None:
+    """``non_native`` when the policy requires native birth and it is not known."""
+    if policy.require_native_born and native_born is not True:
+        return "non_native"
+    return None
+
+
 def filter_reason(
     record: NameRecord,
     letters: str,
@@ -305,11 +340,9 @@ def filter_reason(
     ``unparseable_sex`` (recorded sex unknown and the coding table, when
     given, has no override for the standardized name).
     """
-    reason = _name_reason(letters, policy)
+    reason = _name_reason(letters, policy) or _native_reason(record.native_born, policy)
     if reason is not None:
         return reason
-    if policy.require_native_born and record.native_born is not True:
-        return "non_native"
     if record.sex is Sex.UNKNOWN:
         resolved = Sex.UNKNOWN
         if table is not None and len(letters) >= 2:
@@ -356,45 +389,40 @@ _NATIVE_TEXT = {None: "", True: "true", False: "false"}
 
 
 def _field_decoders(policy: FilterPolicy, table: CodingTable) -> dict[str, Callable]:
-    """For each column but location: raw field text -> decoded output text, or
-    None when that text alone rejects the row under ``policy``.
+    """For each column but location, the decoder that fills its memo.
 
-    A name decodes to its standardized name and the coding table's sex
-    override code for it (None when it has none).
+    The name's is keyed by the name's leading letters and gives the
+    standardized name with the coding table's sex override code for it
+    (None when it has none).  The others are keyed by the raw field text and
+    give the field's value as :class:`RecordScan` yields it.  Each gives
+    ``_BAD`` when its key alone rejects the row: the field's parser, and for
+    the name and native-born columns the filter rule on that field alone,
+    decide it.
     """
-    sexes = {code: sex.value for code, sex in _SEX_CODES.items()}
-    kinds = {text: kind.value for text, kind in _KINDS.items()}
-    natives = {text: _NATIVE_TEXT[native] for text, native in _NATIVE_BORN.items()
-               if native is True or not policy.require_native_born}
 
-    def code(letters: str) -> tuple[str, str | None]:
+    def name(letters: str) -> tuple[str, str | None] | object:
+        if _name_reason(letters, policy) is not None:  # also an empty name
+            return _BAD
         std = apply_coding(table, letters)
         override = correct_sex(table, std, Sex.UNKNOWN)
         return std, None if override is Sex.UNKNOWN else override.value
 
-    # raw names that truncate alike (case, initials) share one decoded tuple
-    coded = _Memo(code)
-
-    def name(raw: str) -> tuple[str, str | None] | None:
-        letters = leading_letters(raw)
-        if _name_reason(letters, policy) is not None:  # also an empty name
-            return None
-        return coded[letters]
-
-    def number(low: int, high: int) -> Callable[[str], str | None]:
-        def decode(raw: str) -> str | None:
-            value = _bounded_int(raw.strip(), low, high)
-            return None if value is None else str(value)
+    def field(parse: Callable[[str], object], render: Callable = None) -> Callable:
+        def decode(raw: str) -> object:
+            value = parse(raw.strip())
+            return value if value is _BAD or render is None else render(value)
         return decode
 
-    age = number(AGE_MIN, AGE_MAX)
+    def native_born(value: bool | None) -> str | object:
+        return _BAD if _native_reason(value, policy) else _NATIVE_TEXT[value]
+
     return {
         "name": name,
-        "sex": lambda raw: sexes.get(raw.strip().upper()),
-        "age": lambda raw: age(raw) if raw.strip() else "",
-        "year": number(YEAR_MIN, YEAR_MAX),
-        "kind": lambda raw: kinds.get(raw.strip().lower()),
-        "native_born": lambda raw: natives.get(raw.strip().lower()),
+        "sex": field(_parse_sex, attrgetter("value")),
+        "age": field(_parse_age),
+        "year": field(_parse_year),
+        "kind": field(_parse_kind, attrgetter("value")),
+        "native_born": field(_parse_native_born, native_born),
     }
 
 
@@ -402,21 +430,24 @@ class RecordScan:
     """One streaming pass that parses, filters and standardizes each row once.
 
     Iterating yields each kept row in input order as its standardized
-    record row: a tuple of seven field texts in ``RECORD_HEADER`` order,
-    with the standardized name, the sex after coding-table correction, and
-    each other field as :func:`record_to_row` writes it.  Rejected rows
-    collect in ``parse_rejected`` and ``filter_rejected`` as the pass reaches
-    them, each in input order, as :func:`parse_records` and
+    record row: a tuple in ``RECORD_HEADER`` order of the standardized name,
+    the sex code after coding-table correction, the age (an int, or None
+    when absent), the year (an int), and the kind, location and
+    native-born texts as :func:`record_to_row` writes them.  Rejected rows
+    collect in ``parse_rejected`` and ``filter_rejected`` as the pass
+    reaches them, each in input order, as :func:`parse_records` and
     :func:`filter_records` would reject them.  The header is read, and
     :class:`ParseError` raised, on construction.  The rows can be iterated
     once.
 
     Field texts repeat heavily, so each column but location is decoded
-    through ``memos[column]``, a dict from raw (unstripped) field text to
-    its output text that is filled the first time a text is seen.  A row
-    with any text that decodes to a reject, or whose corrected sex is
-    still unknown, goes once through :func:`_parse_fields` and
-    :func:`filter_reason`, which give its exact reason.
+    through ``memos[column]``, a dict filled by :func:`_field_decoders` the
+    first time a key is seen.  The name's memo is keyed by the name's
+    leading letters, so it holds one entry per distinct truncated name; the
+    others are keyed by the raw (unstripped) field text.  A row with any
+    field that decodes to a reject, or whose corrected sex is still unknown,
+    goes once through :func:`_parse_fields` and :func:`filter_reason`,
+    which give its exact reason.
     """
 
     def __init__(self, stream: IO[str], policy: FilterPolicy, table: CodingTable):
@@ -429,7 +460,7 @@ class RecordScan:
         self.parse_rejected: list[RejectedRow] = []
         self.filter_rejected: list[tuple[NameRecord, str]] = []
 
-    def __iter__(self) -> Iterator[tuple[str, ...]]:
+    def __iter__(self) -> Iterator[tuple]:
         names, sexes, ages, years, kinds, natives = (
             self.memos[col] for col in RECORD_HEADER if col != "location"
         )
@@ -442,17 +473,17 @@ class RecordScan:
                 continue
             row.append("")
             raw = fields(row)
-            coded = names[raw[0]]
+            coded = names[leading_letters(raw[0])]
             sex = sexes[raw[1]]
             age = ages[raw[2]]
             year = years[raw[3]]
             kind = kinds[raw[4]]
             native = natives[raw[6]]
-            if coded is not None and sex is not None:
+            if coded is not _BAD and sex is not _BAD:
                 name, override = coded
                 sex = override or sex
-            if (coded is None or sex is None or sex == "U" or age is None
-                    or year is None or kind is None or native is None):
+            if (coded is _BAD or sex is _BAD or sex == "U" or age is _BAD
+                    or year is _BAD or kind is _BAD or native is _BAD):
                 self._reject([text.strip() for text in raw])
                 continue
             yield name, sex, age, year, kind, raw[5].strip(), native
@@ -472,22 +503,29 @@ class RecordScan:
 
 
 def _birth_year(
-    record: NameRecord, default_age_marriage: int, default_age_adult: int
+    year: int,
+    age: int | None,
+    kind: RecordKind,
+    default_age_marriage: int,
+    default_age_adult: int,
 ) -> int | None:
-    if record.age is not None:
-        return record.record_year - record.age
-    if record.record_kind is RecordKind.BIRTH_REGISTER:
-        return record.record_year
-    if record.record_kind is RecordKind.MARRIAGE:
-        return record.record_year - default_age_marriage
-    if record.record_kind is RecordKind.ADULT_ROSTER:
-        return record.record_year - default_age_adult
+    """Birth year of a record from ``year``: by its age, or else by its kind's
+    default age; None when it has no age and no default applies."""
+    if age is not None:
+        return year - age
+    if kind is RecordKind.BIRTH_REGISTER:
+        return year
+    if kind is RecordKind.MARRIAGE:
+        return year - default_age_marriage
+    if kind is RecordKind.ADULT_ROSTER:
+        return year - default_age_adult
     return None
 
 
 def assign_birth_year(record: NameRecord, spec: CohortSpec) -> int:
     """Birth year from the age field, or from the record kind's default age."""
-    birth_year = _birth_year(record, spec.default_age_marriage, spec.default_age_adult)
+    birth_year = _birth_year(record.record_year, record.age, record.record_kind,
+                             spec.default_age_marriage, spec.default_age_adult)
     if birth_year is None:
         raise AgeUnresolvableError(
             f"age_unresolvable: {record.record_kind.value} record of "
@@ -514,9 +552,8 @@ def build_cohort(
     """
     names: Counter = Counter()
     for record in records:
-        birth_year = _birth_year(
-            record, spec.default_age_marriage, spec.default_age_adult
-        )
+        birth_year = _birth_year(record.record_year, record.age, record.record_kind,
+                                 spec.default_age_marriage, spec.default_age_adult)
         if birth_year is None:
             continue
         if not spec.birth_year_start <= birth_year <= spec.birth_year_end:
@@ -540,24 +577,19 @@ class CohortIndex:
 
     def __init__(
         self,
-        kept: Iterable[Sequence[str]],
+        kept: Iterable[Sequence],
         default_age_marriage: int = 25,
         default_age_adult: int = 35,
     ):
         self.default_ages = (default_age_marriage, default_age_adult)
-        # the age a row without one is assumed to have, by kind, as _birth_year does
-        assumed = {
-            RecordKind.BIRTH_REGISTER.value: 0,
-            RecordKind.MARRIAGE.value: default_age_marriage,
-            RecordKind.ADULT_ROSTER.value: default_age_adult,
-        }
-        number = _Memo(int)
+        kinds = {kind.value: kind for kind in RecordKind}
         buckets: dict[tuple[int, str], dict[str, int]] = {}
-        for name, sex, age_text, year_text, kind, _, _ in kept:
-            age = number[age_text] if age_text else assumed.get(kind)
-            if age is None:
+        for name, sex, age, year, kind, _, _ in kept:
+            birth_year = _birth_year(year, age, kinds[kind], default_age_marriage,
+                                     default_age_adult)
+            if birth_year is None:
                 continue
-            bucket = buckets.setdefault((number[year_text] - age, sex), {})
+            bucket = buckets.setdefault((birth_year, sex), {})
             bucket[name] = bucket.get(name, 0) + 1
         self._buckets = buckets
 

@@ -576,6 +576,52 @@ class TestErrorPaths:
         assert code == 1
         assert not out.exists()
 
+    def test_ingest_out_may_name_records(self, tmp_path):
+        # several read blocks, so a truncated input would be seen short
+        src = tmp_path / "records.csv"
+        src.write_text(records_csv(["Mary,F,5,1880,census,Leeds,true",
+                                    "Mrs,F,40,1880,census,,"] * 2000), encoding="utf-8")
+        want = tmp_path / "want.csv"
+        assert main(["ingest", "--records", str(src), "--out", str(want)]) == 0
+        assert main(["ingest", "--records", str(src), "--out", str(src)]) == 0
+        assert src.read_bytes() == want.read_bytes()
+        assert want.read_text().count("\n") == 2001
+        assert sorted(os.listdir(tmp_path)) == ["records.csv", "want.csv"]
+
+    def test_failed_ingest_leaves_outputs_unchanged(self, tmp_path, capsys):
+        src = tmp_path / "records.csv"
+        rows = records_csv(["Mary,F,5,1880,census,,"] * 2000).encode("utf-8")
+        src.write_bytes(rows + b"Mar\xffy,F,5,1880,census,,\n")
+        out, rejects = tmp_path / "out.csv", tmp_path / "rej.csv"
+        out.write_bytes(b"old report\n")
+        code = main(["ingest", "--records", str(src), "--out", str(out),
+                     "--rejects", str(rejects)])
+        assert code == 1
+        assert "can't decode byte 0xff" in capsys.readouterr().err
+        assert out.read_bytes() == b"old report\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "records.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("full", ["--out", "--rejects"])
+    def test_write_error_names_its_output(self, mini_corpus, tmp_path, capsys, full):
+        other = {"--out": "--rejects", "--rejects": "--out"}[full]
+        code = main(["ingest", "--records", str(mini_corpus), full, "/dev/full",
+                     other, str(tmp_path / "other.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write /dev/full: [Errno 28] ")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["records.csv"]
+
+    def test_unwritable_chart_keeps_old_report(self, mini_corpus, tmp_path):
+        out = tmp_path / "fit.csv"
+        out.write_bytes(b"old report\n")
+        code = main(["fit", "--records", str(mini_corpus), "--span", "1870:1879",
+                     "--sex", "F", "--min-count", "1", "--out", str(out),
+                     "--chart", str(tmp_path / "no" / "chart.csv")])
+        assert code == 1
+        assert out.read_bytes() == b"old report\n"
+
     @pytest.mark.parametrize("flag, field", [
         ("--marriage-age=-50", "default_age_marriage -50"),
         ("--adult-age=111", "default_age_adult 111"),

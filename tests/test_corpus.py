@@ -35,6 +35,7 @@ from namestats.corpus import (
     record_to_row,
     write_rejection_report,
 )
+from namestats.standardize import leading_letters
 
 import reference_corpus
 from conftest import records_csv
@@ -459,8 +460,8 @@ class TestMemoizedScanMatchesReference:
         rows = list(scan)
 
         assert rows == [
-            tuple(record_to_row(NameRecord(name, sex, r.record_year, r.record_kind,
-                                           r.age, r.location, r.native_born)))
+            (name, sex.value, r.age, r.record_year, r.record_kind.value, r.location or "",
+             record_to_row(r)[-1])
             for r, name, sex in ref_kept
         ]
         assert scan.parse_rejected == ref.parse_rejected
@@ -483,7 +484,9 @@ class TestMemoizedScanMatchesReference:
             assert rejects.read_bytes() == want_rejects.encode("utf-8")
 
     @given(text=record_files(), native=st.booleans())
-    def test_memo_keys_are_the_distinct_raw_texts(self, demo_table, text, native):
+    def test_memo_keys_are_the_distinct_texts(self, demo_table, text, native):
+        """The name memo holds the distinct truncated names, the others the
+        distinct raw texts of their column."""
         policy = FilterPolicy(require_native_born=native)
         scan = RecordScan(_stream(text), policy, demo_table)
         for _ in scan:
@@ -494,4 +497,6 @@ class TestMemoizedScanMatchesReference:
         assert set(scan.memos) == set(RECORD_HEADER) - {"location"}
         for col, memo in scan.memos.items():
             texts = {row[position[col]] if col in position else "" for row in body}
+            if col == "name":
+                texts = set(map(leading_letters, texts))
             assert set(memo) == texts
