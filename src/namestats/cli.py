@@ -38,7 +38,6 @@ import argparse
 import io
 import json
 import os
-import secrets
 import stat
 import sys
 from contextlib import contextmanager, suppress
@@ -281,7 +280,7 @@ def _open_output(path: str) -> tuple[io.TextIOWrapper, str | None, str]:
             if mode is not None:  # fails where opening it to write would
                 os.close(os.open(target, os.O_WRONLY))
             directory, name = os.path.split(target)
-            staged = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+            staged = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
             flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
             fd = os.open(staged, flags, 0o666 if mode is None else stat.S_IMODE(mode))
             raw = _File(fd, "w", path)
