@@ -522,6 +522,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # stdout's reader has gone, as in `namestats ingest ... | head`; the
+        # interpreter's last flush of stdout would fail again, so point it at
+        # devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

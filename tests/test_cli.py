@@ -613,6 +613,21 @@ class TestErrorPaths:
         assert err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["records.csv"]
 
+    def test_closed_stdout_exit_1_without_traceback(self, tmp_path):
+        src = tmp_path / "records.csv"
+        # more output than a pipe holds, so a write finds the reader gone
+        src.write_text(records_csv(["Mary,F,5,1880,census,Leeds,true"] * 20_000),
+                       encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "namestats.cli", "ingest",
+                                 "--records", str(src)], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"name,sex,age,year,kind,location,native_born\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 1
+        assert err == b""
+
     def test_unwritable_chart_keeps_old_report(self, mini_corpus, tmp_path):
         out = tmp_path / "fit.csv"
         out.write_bytes(b"old report\n")
