@@ -18,21 +18,23 @@ which name its reason.
 :class:`CohortIndex` counts the kept rows by (birth year, corrected sex,
 standardized name) in the same pass.  Every cohort for the index's default
 ages is then a sum over year buckets, so memory grows with distinct names
-times birth years, not with rows.  :func:`parse_records`,
-:func:`filter_records` and :func:`build_cohort` are the list-based and
-per-cohort forms of the same steps.
+times birth years, not with rows.  :func:`parse_records` and
+:func:`filter_records` are list forms of :func:`iter_records` and
+:func:`filter_reason`, and :func:`build_cohort` is a one-spec CohortIndex.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .standardize import (
+    MIN_NAME_LEN,
     CodingTable,
     Sex,
     apply_coding,
@@ -102,10 +104,10 @@ class FilterPolicy:
     """Inclusion rules applied to truncated names.
 
     Generic-name matching is case-insensitive and happens after
-    truncation, so "Widow Smith" matches WIDOW.
+    truncation, so "Widow Smith" matches WIDOW.  Names with fewer than two
+    leading letters are always dropped: no coding can standardize them.
     """
 
-    drop_single_letter: bool = True
     generic_names: frozenset[str] = DEFAULT_GENERIC_NAMES
     require_native_born: bool = False
 
@@ -239,6 +241,16 @@ def _parse_fields(fields: list[str]) -> NameRecord | str:
     return NameRecord(name, sex, year, kind, age, location or None, native_born)
 
 
+@contextmanager
+def _csv_errors(reader):
+    """Re-raise a ``csv.Error`` of ``reader`` (a field over the csv module's
+    size limit, say) as a :class:`ParseError` naming the line it reached."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise ParseError(f"record file line {reader.line_num}: {exc}") from exc
+
+
 def _read_header(stream: IO[str]) -> tuple[Iterator[list[str]], list[int], int]:
     """The row reader, each ``RECORD_HEADER`` column's position and the row width.
 
@@ -247,7 +259,8 @@ def _read_header(stream: IO[str]) -> tuple[Iterator[list[str]], list[int], int]:
     occurrence, as csv.DictReader does.
     """
     reader = csv.reader(stream)
-    header = next(reader, None)
+    with _csv_errors(reader):
+        header = next(reader, None)
     if header is None:
         raise ParseError("record file is empty")
     missing = set(MANDATORY_COLUMNS) - set(header)
@@ -270,18 +283,19 @@ def _malformed(row: list[str], columns: list[int], width: int) -> RejectedRow:
 def _iter_rows(
     reader, columns: list[int], width: int
 ) -> Iterator[NameRecord | RejectedRow]:
-    for row in reader:
-        if len(row) != width:
-            if row:  # a blank line is skipped, not rejected
-                yield _malformed(row, columns, width)
-            continue
-        row.append("")
-        fields = [row[i].strip() for i in columns]
-        parsed = _parse_fields(fields)
-        if isinstance(parsed, str):
-            yield RejectedRow(dict(zip(RECORD_HEADER, fields)), parsed)
-        else:
-            yield parsed
+    with _csv_errors(reader):
+        for row in reader:
+            if len(row) != width:
+                if row:  # a blank line is skipped, not rejected
+                    yield _malformed(row, columns, width)
+                continue
+            row.append("")
+            fields = [row[i].strip() for i in columns]
+            parsed = _parse_fields(fields)
+            if isinstance(parsed, str):
+                yield RejectedRow(dict(zip(RECORD_HEADER, fields)), parsed)
+            else:
+                yield parsed
 
 
 def iter_records(stream: IO[str]) -> Iterator[NameRecord | RejectedRow]:
@@ -311,7 +325,7 @@ def parse_records(stream: IO[str]) -> ParseResult:
 
 def _name_reason(letters: str, policy: FilterPolicy) -> str | None:
     """``single_letter`` or ``generic`` when the truncated name alone rejects a record."""
-    if len(letters) == 0 or (policy.drop_single_letter and len(letters) == 1):
+    if len(letters) < MIN_NAME_LEN:
         return "single_letter"
     if letters in policy.generic_names:
         return "generic"
@@ -337,17 +351,15 @@ def filter_reason(
     Reasons, checked in order: ``single_letter`` (fewer than two leading
     letters), ``generic``, ``non_native`` (only when the policy requires
     native birth; unknown birthplace counts as non-native), and
-    ``unparseable_sex`` (recorded sex unknown and the coding table, when
-    given, has no override for the standardized name).
+    ``unparseable_sex`` (recorded sex unknown and the coding table has no
+    override for the standardized name).  No table is the empty table.
     """
     reason = _name_reason(letters, policy) or _native_reason(record.native_born, policy)
     if reason is not None:
         return reason
     if record.sex is Sex.UNKNOWN:
-        resolved = Sex.UNKNOWN
-        if table is not None and len(letters) >= 2:
-            resolved = correct_sex(table, apply_coding(table, letters), Sex.UNKNOWN)
-        if resolved is Sex.UNKNOWN:
+        table = CodingTable() if table is None else table
+        if correct_sex(table, apply_coding(table, letters), Sex.UNKNOWN) is Sex.UNKNOWN:
             return "unparseable_sex"
     return None
 
@@ -466,27 +478,28 @@ class RecordScan:
         )
         fields = itemgetter(*self._columns)
         width = self._width
-        for row in self._reader:
-            if len(row) != width:
-                if row:  # a blank line is skipped, not rejected
-                    self.parse_rejected.append(_malformed(row, self._columns, width))
-                continue
-            row.append("")
-            raw = fields(row)
-            coded = names[leading_letters(raw[0])]
-            sex = sexes[raw[1]]
-            age = ages[raw[2]]
-            year = years[raw[3]]
-            kind = kinds[raw[4]]
-            native = natives[raw[6]]
-            if coded is not _BAD and sex is not _BAD:
-                name, override = coded
-                sex = override or sex
-            if (coded is _BAD or sex is _BAD or sex == "U" or age is _BAD
-                    or year is _BAD or kind is _BAD or native is _BAD):
-                self._reject([text.strip() for text in raw])
-                continue
-            yield name, sex, age, year, kind, raw[5].strip(), native
+        with _csv_errors(self._reader):
+            for row in self._reader:
+                if len(row) != width:
+                    if row:  # a blank line is skipped, not rejected
+                        self.parse_rejected.append(_malformed(row, self._columns, width))
+                    continue
+                row.append("")
+                raw = fields(row)
+                coded = names[leading_letters(raw[0])]
+                sex = sexes[raw[1]]
+                age = ages[raw[2]]
+                year = years[raw[3]]
+                kind = kinds[raw[4]]
+                native = natives[raw[6]]
+                if coded is not _BAD and sex is not _BAD:
+                    name, override = coded
+                    sex = override or sex
+                if (coded is _BAD or sex is _BAD or sex == "U" or age is _BAD
+                        or year is _BAD or kind is _BAD or native is _BAD):
+                    self._reject([text.strip() for text in raw])
+                    continue
+                yield name, sex, age, year, kind, raw[5].strip(), native
 
     def _reject(self, fields: list[str]) -> None:
         """Record the reject reason of a row with stripped ``fields``."""
@@ -535,6 +548,12 @@ def assign_birth_year(record: NameRecord, spec: CohortSpec) -> int:
     return birth_year
 
 
+def _standardize(record: NameRecord, table: CodingTable) -> tuple[str, Sex]:
+    """The record's standardized name and its sex after coding-table correction."""
+    std = apply_coding(table, truncate_name(record.raw_name))
+    return std, correct_sex(table, std, record.sex)
+
+
 def build_cohort(
     records: Iterable[NameRecord],
     spec: CohortSpec,
@@ -546,22 +565,19 @@ def build_cohort(
     span and its sex, after coding-table correction, equals the spec's
     sex.  Records whose birth year cannot be resolved can never match a
     span and are skipped.  The result is an order-independent multiset;
-    an empty cohort is returned rather than raised.  This scans every
-    record for one spec; :class:`CohortIndex` serves many specs from one
-    pass.
+    an empty cohort is returned rather than raised.  This is a
+    :class:`CohortIndex` for the spec's default ages, which standardizes
+    every record: a name with fewer than two leading letters raises
+    :class:`StandardizationError` whatever its birth year.
     """
-    names: Counter = Counter()
-    for record in records:
-        birth_year = _birth_year(record.record_year, record.age, record.record_kind,
-                                 spec.default_age_marriage, spec.default_age_adult)
-        if birth_year is None:
-            continue
-        if not spec.birth_year_start <= birth_year <= spec.birth_year_end:
-            continue
-        std = apply_coding(table, truncate_name(record.raw_name))
-        if correct_sex(table, std, record.sex) is spec.sex:
-            names[std] += 1
-    return Cohort(spec, names)
+    def rows() -> Iterator[tuple]:
+        for r in records:
+            name, sex = _standardize(r, table)
+            # the index reads neither location nor native birth
+            yield name, sex.value, r.age, r.record_year, r.record_kind.value, None, None
+
+    index = CohortIndex(rows(), spec.default_age_marriage, spec.default_age_adult)
+    return index.cohort(spec)
 
 
 class CohortIndex:
@@ -569,17 +585,13 @@ class CohortIndex:
 
     Built in one pass over the kept rows, as :class:`RecordScan` yields
     them, for one pair of default ages.  A cohort whose spec has those
-    defaults is then a sum over the year buckets in its span, equal to
-    :func:`build_cohort` over the same records.  Rows whose birth year
-    cannot be resolved are not counted.  Buckets are keyed by (birth year,
-    sex code), so counting a row hashes no enum.
+    defaults is then a sum over the year buckets in its span.  Rows whose
+    birth year cannot be resolved are not counted.  Buckets are keyed by
+    (birth year, sex code), so counting a row hashes no enum.
     """
 
     def __init__(
-        self,
-        kept: Iterable[Sequence],
-        default_age_marriage: int = 25,
-        default_age_adult: int = 35,
+        self, kept: Iterable[Sequence], default_age_marriage: int, default_age_adult: int
     ):
         self.default_ages = (default_age_marriage, default_age_adult)
         kinds = {kind.value: kind for kind in RecordKind}
@@ -611,10 +623,10 @@ class CohortIndex:
 
 def standardized_record(record: NameRecord, table: CodingTable) -> NameRecord:
     """Copy of ``record`` with the standardized name and corrected sex."""
-    std = apply_coding(table, truncate_name(record.raw_name))
+    std, sex = _standardize(record, table)
     return NameRecord(
         raw_name=std,
-        sex=correct_sex(table, std, record.sex),
+        sex=sex,
         record_year=record.record_year,
         record_kind=record.record_kind,
         age=record.age,

@@ -30,16 +30,6 @@ class Sex(Enum):
     MALE = "M"
     UNKNOWN = "U"
 
-    @classmethod
-    def from_code(cls, code: str) -> "Sex":
-        code = code.strip().upper()
-        if code == "":
-            return cls.UNKNOWN
-        for member in cls:
-            if member.value == code:
-                return member
-        raise ValueError(f"unknown sex code {code!r}")
-
 
 class StandardizationError(ValueError):
     """A raw name cannot be turned into a standardized name."""
@@ -147,34 +137,37 @@ def load_coding_table(stream: IO[str], version_id: str = "unversioned") -> Codin
     """Read a ``variant,canonical,sex_override`` CSV into a validated table.
 
     Raises :class:`CodingTableError` on duplicate variants, canonicals that
-    are not fixed points of the table, or canonicals violating the
-    standardized-name constraints.
+    are not fixed points of the table, canonicals violating the
+    standardized-name constraints, or text the csv module cannot read.
     """
     reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise CodingTableError("coding table file is empty")
-    missing = set(CODING_TABLE_HEADER[:2]) - set(reader.fieldnames)
-    if missing:
-        raise CodingTableError(f"coding table missing columns: {sorted(missing)}")
+    try:
+        if reader.fieldnames is None:
+            raise CodingTableError("coding table file is empty")
+        missing = set(CODING_TABLE_HEADER[:2]) - set(reader.fieldnames)
+        if missing:
+            raise CodingTableError(f"coding table missing columns: {sorted(missing)}")
 
-    entries: dict[str, CodingEntry] = {}
-    for lineno, row in enumerate(reader, start=2):
-        variant = (row.get("variant") or "").strip().upper()
-        canonical = (row.get("canonical") or "").strip().upper()
-        raw_override = (row.get("sex_override") or "").strip().upper()
-        if not variant or not variant.isalpha():
-            raise CodingTableError(f"line {lineno}: bad variant {variant!r}")
-        if variant in entries:
-            raise CodingTableError(f"line {lineno}: duplicate variant {variant!r}")
-        if raw_override in ("", None):
-            override = None
-        elif raw_override in ("F", "M"):
-            override = Sex(raw_override)
-        else:
-            raise CodingTableError(
-                f"line {lineno}: sex_override must be F, M, or empty, got {raw_override!r}"
-            )
-        entries[variant] = CodingEntry(canonical, override)
+        entries: dict[str, CodingEntry] = {}
+        for lineno, row in enumerate(reader, start=2):
+            variant = (row.get("variant") or "").strip().upper()
+            canonical = (row.get("canonical") or "").strip().upper()
+            raw_override = (row.get("sex_override") or "").strip().upper()
+            if not variant or not variant.isalpha():
+                raise CodingTableError(f"line {lineno}: bad variant {variant!r}")
+            if variant in entries:
+                raise CodingTableError(f"line {lineno}: duplicate variant {variant!r}")
+            if raw_override in ("", None):
+                override = None
+            elif raw_override in ("F", "M"):
+                override = Sex(raw_override)
+            else:
+                raise CodingTableError(
+                    f"line {lineno}: sex_override must be F, M, or empty, got {raw_override!r}"
+                )
+            entries[variant] = CodingEntry(canonical, override)
+    except csv.Error as exc:
+        raise CodingTableError(f"coding table line {reader.reader.line_num}: {exc}") from exc
 
     table = CodingTable(entries, version_id)
     table.validate()

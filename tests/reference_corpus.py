@@ -8,12 +8,15 @@ both to give equal records and equal rejects, in the same order.
 and ``ingest`` are the row-at-a-time scan, cohort index and ``ingest``
 writer that the memoized ``corpus.RecordScan`` replaced: one ``NameRecord``
 per row, then truncation, filtering, coding and sex correction.
+``build_cohort`` is the per-spec scan of every record that
+``corpus.build_cohort``, now a ``CohortIndex`` over the records, replaced.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from typing import IO, Iterable, Iterator
 
 from namestats.corpus import (
@@ -24,6 +27,7 @@ from namestats.corpus import (
     YEAR_MAX,
     YEAR_MIN,
     AgeUnresolvableError,
+    Cohort,
     CohortSpec,
     FilterPolicy,
     NameRecord,
@@ -37,7 +41,14 @@ from namestats.corpus import (
     write_records,
     write_rejection_report,
 )
-from namestats.standardize import MAX_NAME_LEN, CodingTable, Sex, apply_coding, correct_sex
+from namestats.standardize import (
+    MAX_NAME_LEN,
+    CodingTable,
+    Sex,
+    apply_coding,
+    correct_sex,
+    truncate_name,
+)
 
 
 def leading_letters(raw: str) -> str:
@@ -52,6 +63,17 @@ def leading_letters(raw: str) -> str:
     return "".join(out)
 
 
+def sex_from_code(code: str) -> Sex:
+    """The ``Sex`` of a record file's sex text; an empty text is unknown."""
+    code = code.strip().upper()
+    if code == "":
+        return Sex.UNKNOWN
+    for member in Sex:
+        if member.value == code:
+            return member
+    raise ValueError(f"unknown sex code {code!r}")
+
+
 def _parse_row(row: dict[str, str]) -> NameRecord | RejectedRow:
     fields = {col: (row.get(col) or "").strip() for col in RECORD_HEADER}
 
@@ -60,7 +82,7 @@ def _parse_row(row: dict[str, str]) -> NameRecord | RejectedRow:
         return RejectedRow(fields, "empty_name")
 
     try:
-        sex = Sex.from_code(fields["sex"])
+        sex = sex_from_code(fields["sex"])
     except ValueError:
         return RejectedRow(fields, "bad_sex")
 
@@ -113,8 +135,18 @@ def _parse_row(row: dict[str, str]) -> NameRecord | RejectedRow:
 
 
 def parse_records(stream: IO[str]) -> ParseResult:
-    """The ``csv.DictReader`` record parser: one dict per row, then validation."""
+    """The ``csv.DictReader`` record parser: one dict per row, then validation.
+
+    A ``csv.Error`` is a ``ParseError`` naming the line the csv reader reached.
+    """
     reader = csv.DictReader(stream)
+    try:
+        return _parse_dicts(reader)
+    except csv.Error as exc:
+        raise ParseError(f"record file line {reader.reader.line_num}: {exc}") from exc
+
+
+def _parse_dicts(reader: csv.DictReader) -> ParseResult:
     if reader.fieldnames is None:
         raise ParseError("record file is empty")
     missing = set(MANDATORY_COLUMNS) - set(reader.fieldnames)
@@ -195,3 +227,21 @@ def ingest(text: str, policy: FilterPolicy, table: CodingTable) -> tuple[str, st
     )
     write_rejection_report(scan.parse_rejected, scan.filter_rejected, rejects)
     return out.getvalue(), rejects.getvalue()
+
+
+def build_cohort(records: Iterable[NameRecord], spec: CohortSpec,
+                 table: CodingTable) -> Cohort:
+    """Standardized names of the records whose birth year falls in the span
+    and whose corrected sex is the spec's; unresolvable birth years are skipped."""
+    names: Counter = Counter()
+    for record in records:
+        try:
+            birth_year = assign_birth_year(record, spec)
+        except AgeUnresolvableError:
+            continue
+        if not spec.birth_year_start <= birth_year <= spec.birth_year_end:
+            continue
+        std = apply_coding(table, truncate_name(record.raw_name))
+        if correct_sex(table, std, record.sex) is spec.sex:
+            names[std] += 1
+    return Cohort(spec, names)

@@ -601,6 +601,33 @@ class TestErrorPaths:
         assert out.read_bytes() == b"old report\n"
         assert sorted(os.listdir(tmp_path)) == ["out.csv", "records.csv"]
 
+    @pytest.mark.parametrize("command", [["ingest"], ["stats", "--span", "1870:1879"]])
+    @pytest.mark.parametrize("oversized, message", [
+        ("--records", "parse error: record file line 3: "),
+        ("--coding-table", "error: coding table line 2: "),
+    ])
+    def test_oversized_csv_field_exit_1(self, mini_corpus, tmp_path, command,
+                                        oversized, message):
+        """A field over the csv module's size limit is a one-line exit 1 that
+        leaves an existing --out as it was."""
+        big = tmp_path / "big.csv"
+        if oversized == "--records":
+            big.write_text(records_csv(["Mary,F,5,1880,census,,",
+                                        "A" * 200_000 + ",F,5,1880,census,,"]))
+            files = ["--records", str(big)]
+        else:
+            big.write_text("variant,canonical,sex_override\n" + "A" * 200_000 + ",MARY,\n")
+            files = ["--records", str(mini_corpus), "--coding-table", str(big)]
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old report\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "namestats.cli", *command, *files,
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == message + "field larger than field limit (131072)\n"
+        assert out.read_bytes() == b"old report\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("full", ["--out", "--rejects"])
     def test_write_error_names_its_output(self, mini_corpus, tmp_path, capsys, full):

@@ -19,6 +19,7 @@ from namestats import (
     ParseError,
     RecordKind,
     Sex,
+    StandardizationError,
     assign_birth_year,
     build_cohort,
     filter_records,
@@ -147,8 +148,10 @@ class TestFilterRecords:
         ]
 
     def test_unknown_sex_without_table(self):
-        result = filter_records([rec("Mary", sex=Sex.UNKNOWN)], FilterPolicy())
+        records = [rec("Mary", sex=Sex.UNKNOWN)]
+        result = filter_records(records, FilterPolicy())
         assert result.rejected[0][1] == "unparseable_sex"
+        assert filter_records(records, FilterPolicy(), CodingTable()) == result
 
     def test_unknown_sex_with_override_kept(self, demo_table):
         result = filter_records(
@@ -162,10 +165,6 @@ class TestFilterRecords:
     def test_no_leading_letters_rejected(self):
         result = filter_records([rec("123")], FilterPolicy())
         assert result.rejected[0][1] == "single_letter"
-
-    def test_keep_single_letters_policy(self):
-        result = filter_records([rec("J")], FilterPolicy(drop_single_letter=False))
-        assert result.kept == [rec("J")]
 
     def test_partition(self):
         records = [rec("Mary"), rec("J"), rec("Mrs"), rec("Ann", sex=Sex.UNKNOWN)]
@@ -247,6 +246,19 @@ class TestBuildCohort:
             shuffled = records[:]
             random.Random(seed).shuffle(shuffled)
             assert build_cohort(shuffled, spec, demo_table).names == base.names
+
+    @pytest.mark.parametrize("span", [(1870, 1879), (1800, 1810)])
+    @pytest.mark.parametrize("name, message", [
+        ("J", "single-letter name 'J' must be filtered before coding"),
+        ("99", "no_leading_letters: '99'"),
+    ])
+    def test_unstandardizable_name_raises_in_or_out_of_span(self, demo_table, span,
+                                                            name, message):
+        """Every record is standardized, whether or not its birth year (1875
+        here) falls in the span."""
+        records = [rec("Mary"), rec(name, year=1880, age=5)]
+        with pytest.raises(StandardizationError, match=message):
+            build_cohort(records, CohortSpec(Sex.FEMALE, *span), demo_table)
 
 
 class TestRecordIO:
@@ -415,7 +427,9 @@ class TestCohortIndex:
         for start, width in spans:
             for sex in Sex:
                 spec = CohortSpec(sex, start, start + width, *ages)
-                assert index.cohort(spec) == build_cohort(filtered.kept, spec, demo_table)
+                want = reference_corpus.build_cohort(filtered.kept, spec, demo_table)
+                assert index.cohort(spec) == want
+                assert build_cohort(filtered.kept, spec, demo_table) == want
 
     def test_other_default_ages_rejected(self):
         index = CohortIndex([], default_age_marriage=25, default_age_adult=35)
