@@ -11,8 +11,16 @@ Each subcommand takes only the options it reads (see `namestats CMD -h`).
 Every one writes to --out (default stdout); all but ingest and simulate
 take --format.  ingest, stats, comm and fit read --records under
 --coding-table, --require-native-born and --generic; stats, comm and fit
-also take --sex, --marriage-age, --adult-age and --threads.  --threads
-is accepted (it must be >= 1) and has no effect.
+also take --sex, --marriage-age, --adult-age and --threads.  A --generic
+name is truncated like a record's name, and one with fewer than two
+leading letters is an exit-1 error.
+
+--threads N (at least 1) lets stats, comm and fit split a regular --records
+file at line ends into at most min(N, usable CPUs, size // 1 MiB) byte
+ranges, index the first here and each other one in a forked child, and sum
+the counts (see corpus.index_records).  A file with a quote or a CR outside
+a CRLF, which could put a line end inside a record, is read in one pass, as
+is any file when a range fails, so errors are those of --threads 1.
 
 ingest, stats, comm and fit read the record file in one streaming pass
 that decodes each distinct field text once and each kept row by table
@@ -143,7 +151,7 @@ def _cohort_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--marriage-age", type=int, default=25)
     parser.add_argument("--adult-age", type=int, default=35)
     parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="accepted for compatibility; has no effect")
+                        help="index --records in up to this many processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,24 +247,46 @@ def _load_table(args) -> CodingTable:
         return load_coding_table(fh, version_id=Path(args.coding_table).name)
 
 
+def _policy_and_table(args) -> tuple[FilterPolicy, CodingTable]:
+    """The filter flags' policy, checked first, and the --coding-table."""
+    policy = FilterPolicy(
+        generic_names=corpus.DEFAULT_GENERIC_NAMES | set(args.generic),
+        require_native_born=args.require_native_born,
+    )
+    return policy, _load_table(args)
+
+
+def _note_rejects(parse_rejects: int, filter_rejects: int) -> None:
+    if parse_rejects or filter_rejects:
+        print(f"note: rejected {parse_rejects} rows at parse, {filter_rejects} at filter",
+              file=sys.stderr)
+
+
 @contextmanager
 def _scan_records(args):
     """A :class:`corpus.RecordScan` of --records under --coding-table and the
     filter flags, for the body to consume; notes the reject counts after it."""
-    table = _load_table(args)
-    policy = FilterPolicy(
-        generic_names=corpus.DEFAULT_GENERIC_NAMES | {g.upper() for g in args.generic},
-        require_native_born=args.require_native_born,
-    )
+    policy, table = _policy_and_table(args)
     with _open_input(args.records, newline="") as fh:
         scan = corpus.RecordScan(fh, policy, table)
         yield scan
-    if scan.parse_rejected or scan.filter_rejected:
-        print(
-            f"note: rejected {len(scan.parse_rejected)} rows at parse, "
-            f"{len(scan.filter_rejected)} at filter",
-            file=sys.stderr,
+    _note_rejects(len(scan.parse_rejected), len(scan.filter_rejected))
+
+
+def _index_records(args) -> corpus.CohortIndex:
+    """The cohort index of --records under --coding-table, the filter flags
+    and the default ages, built by up to --threads processes; notes the
+    reject counts."""
+    policy, table = _policy_and_table(args)
+    ages = (args.marriage_age, args.adult_age)
+    try:
+        index, parse_rejects, filter_rejects = corpus.index_records(
+            args.records, policy, table, ages, args.threads
         )
+    except OSError as exc:
+        raise CliError(f"cannot read {args.records}: {exc}", EXIT_PARSE) from exc
+    _note_rejects(parse_rejects, filter_rejects)
+    return index
 
 
 def _open_output(path: str) -> tuple[io.TextIOWrapper, str | None, str]:
@@ -363,8 +393,7 @@ def _each_cohort(args, jobs, evaluate) -> list[tuple[str, str, object]]:
     distinct names or fit points, one exit-2 error names each of them,
     and no report is written.
     """
-    with _scan_records(args) as scan:
-        index = corpus.CohortIndex(scan, args.marriage_age, args.adult_age)
+    index = _index_records(args)
     rows, failures = [], []
     for specs in jobs:
         label = "->".join(spec.label for spec in specs)

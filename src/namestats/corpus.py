@@ -18,19 +18,27 @@ which name its reason.
 :class:`CohortIndex` counts the kept rows by (birth year, corrected sex,
 standardized name) in the same pass.  Every cohort for the index's default
 ages is then a sum over year buckets, so memory grows with distinct names
-times birth years, not with rows.  :func:`parse_records` and
-:func:`filter_records` are list forms of :func:`iter_records` and
-:func:`filter_reason`, and :func:`build_cohort` is a one-spec CohortIndex.
+times birth years, not with rows.  :func:`index_records` builds a
+record file's CohortIndex, splitting a large file into byte ranges at line
+ends and indexing the ranges in forked child processes when asked for more
+than one worker.  :func:`parse_records` and :func:`filter_records` are list
+forms of :func:`iter_records` and :func:`filter_reason`, and
+:func:`build_cohort` is a one-spec CohortIndex.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import os
+import sys
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter, itemgetter
+from stat import S_ISREG
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .standardize import (
@@ -104,16 +112,24 @@ class FilterPolicy:
     """Inclusion rules applied to truncated names.
 
     Generic-name matching is case-insensitive and happens after
-    truncation, so "Widow Smith" matches WIDOW.  Names with fewer than two
-    leading letters are always dropped: no coding can standardize them.
+    truncation, so "Widow Smith" matches WIDOW.  Each generic name is
+    truncated the same way, so "Elizabeth" matches ELIZABET, and one with
+    fewer than two leading letters, which no kept name could match, is a
+    ``ValueError``.  Names with fewer than two leading letters are always
+    dropped: no coding can standardize them.
     """
 
     generic_names: frozenset[str] = DEFAULT_GENERIC_NAMES
     require_native_born: bool = False
 
     def __post_init__(self) -> None:
+        for name in self.generic_names:
+            if len(leading_letters(name)) < MIN_NAME_LEN:
+                raise ValueError(
+                    f"generic name {name!r} has fewer than {MIN_NAME_LEN} leading letters"
+                )
         object.__setattr__(
-            self, "generic_names", frozenset(n.upper() for n in self.generic_names)
+            self, "generic_names", frozenset(map(leading_letters, self.generic_names))
         )
 
 
@@ -619,6 +635,220 @@ class CohortIndex:
             ):
                 names.update(bucket)
         return Cohort(spec, names)
+
+    def merge(self, other: CohortIndex) -> None:
+        """Add the counts of ``other``, an index of other rows, to this one."""
+        if other.default_ages != self.default_ages:
+            raise ValueError(
+                f"index default ages {other.default_ages} differ from {self.default_ages}"
+            )
+        for key, counts in other._buckets.items():
+            bucket = self._buckets.setdefault(key, {})
+            for name, count in counts.items():
+                bucket[name] = bucket.get(name, 0) + count
+
+
+# a --records file is split into ranges of at least this many bytes
+_MIN_RANGE_BYTES = 1 << 20
+# bytes read at a time by the pre-pass and the line-end search
+_READ_BYTES = 1 << 20
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _splittable(fd: int, size: int) -> bool:
+    """True when the file's records are its LF-ended lines: it has no quote,
+    which could open a field spanning lines, and no CR outside a CRLF, which
+    the csv module reads as a record end inside a line (in the header line,
+    a record that every range would read)."""
+    for pos in range(0, size, _READ_BYTES):
+        chunk = os.pread(fd, _READ_BYTES + 1, pos)  # one byte past, for a CRLF
+        if b'"' in chunk:
+            return False
+        # counting is slower than a search, so count only a chunk with a CR
+        if b"\r" in chunk and chunk.count(b"\r", 0, _READ_BYTES) != chunk.count(b"\r\n"):
+            return False
+    return True
+
+
+def _line_end(fd: int, pos: int, size: int) -> int:
+    """The offset just past the first LF at or after ``pos``, or ``size``."""
+    while pos < size:
+        chunk = os.pread(fd, _READ_BYTES, pos)
+        end = chunk.find(b"\n")
+        if end >= 0:
+            return pos + end + 1
+        if not chunk:
+            break
+        pos += len(chunk)
+    return size
+
+
+def _range_bounds(fd: int, workers: int) -> list[int]:
+    """The offsets that bound the byte ranges of a record file to index
+    separately, from 0 to its size, each range after the first starting a
+    line after the header; empty when the file is indexed as one range.
+
+    A regular file is split into at most ``min(workers, usable_cpus(),
+    size // _MIN_RANGE_BYTES)`` ranges of about equal size when
+    :func:`_splittable` finds that its lines are its records and this
+    process runs no other thread.
+    """
+    st = os.fstat(fd)
+    size = st.st_size
+    parts = min(workers, usable_cpus(), size // _MIN_RANGE_BYTES)
+    # a forked child gets only the thread that forked it, so a process with
+    # others could deadlock in the child on a lock one of them held
+    if (parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1
+            or not S_ISREG(st.st_mode) or not _splittable(fd, size)):
+        return []
+    # no LF comes before the header line's, so every range but the first
+    # starts past the header
+    starts = {_line_end(fd, size * i // parts, size) for i in range(1, parts)}
+    starts.discard(size)
+    return [0, *sorted(starts), size] if starts else []
+
+
+class _Spans(io.RawIOBase):
+    """The bytes of a file's ``(start, end)`` offset spans, in order, read by
+    ``os.pread``, which leaves the descriptor's offset, shared with forked
+    processes, where it is."""
+
+    def __init__(self, fd: int, spans: list[tuple[int, int]]):
+        super().__init__()
+        self._fd = fd
+        self._spans = spans
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        while self._spans:
+            start, end = self._spans[0]
+            data = os.pread(self._fd, min(len(buffer), end - start), start)
+            if data:
+                buffer[:len(data)] = data
+                self._spans[0] = (start + len(data), end)
+                return len(data)
+            del self._spans[0]
+        return 0
+
+
+def _index_raw(
+    raw: io.RawIOBase, policy: FilterPolicy, table: CodingTable, ages: tuple[int, int]
+) -> tuple[CohortIndex, int, int]:
+    """The :class:`CohortIndex` of a raw UTF-8 record stream's kept rows, and
+    its parse and filter reject counts."""
+    stream = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="")
+    scan = RecordScan(stream, policy, table)
+    index = CohortIndex(scan, *ages)
+    return index, len(scan.parse_rejected), len(scan.filter_rejected)
+
+
+def _index_ranges(
+    fd: int,
+    bounds: list[int],
+    policy: FilterPolicy,
+    table: CodingTable,
+    ages: tuple[int, int],
+) -> tuple[CohortIndex, int, int] | None:
+    """:func:`_index_raw` summed over the file's ranges, or None when any fails.
+
+    Range i is ``bounds[i]`` to ``bounds[i + 1]``, and each after the first
+    reads the header line before its own bytes.  This process indexes the
+    first range; each other one is indexed in a forked child, which sends
+    its result back as a pickle over a pipe and exits through ``os._exit``.
+    Every child is reaped before this returns or raises, and one still
+    running then is killed first.
+    """
+    import pickle
+    import signal
+
+    header = (0, _line_end(fd, 0, bounds[-1]))
+
+    def index_range(i: int) -> tuple[CohortIndex, int, int]:
+        span = (bounds[i], bounds[i + 1])
+        return _index_raw(_Spans(fd, [span] if i == 0 else [header, span]),
+                          policy, table, ages)
+
+    pids, pipes = [], []
+    try:
+        # a child would write what is buffered here a second time
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for i in range(1, len(bounds) - 1):
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        with open(w, "wb") as out:
+                            pickle.dump(index_range(i), out, pickle.HIGHEST_PROTOCOL)
+                        code = 0
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        index, parse_rejects, filter_rejects = index_range(0)
+        sent = [pipe.read() for pipe in pipes]
+        while pids:
+            _, status = os.waitpid(pids[-1], 0)
+            pids.pop()
+            if status:  # its range failed, or it was killed
+                return None
+        for data in sent:
+            part, n_parse, n_filter = pickle.loads(data)
+            index.merge(part)
+            parse_rejects += n_parse
+            filter_rejects += n_filter
+        return index, parse_rejects, filter_rejects
+    except (ValueError, OSError):
+        # a bad header or byte, a field over the csv limit, or no fork: the
+        # one pass that follows raises what it raises, as --threads 1 would
+        return None
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def index_records(
+    path: str,
+    policy: FilterPolicy,
+    table: CodingTable,
+    ages: tuple[int, int],
+    workers: int = 1,
+) -> tuple[CohortIndex, int, int]:
+    """The :class:`CohortIndex` of the kept rows of the record file at
+    ``path`` for default ages ``ages`` (marriage, adult), with its parse and
+    filter reject counts.
+
+    With ``workers`` above 1, a large regular file whose every line is one
+    record (no quote, no lone CR) is split at line ends into up to
+    ``min(workers, usable_cpus())`` ranges of at least ``_MIN_RANGE_BYTES``
+    bytes, which are indexed in parallel (see :func:`_index_ranges`) and
+    summed.  Every other file, and any run in which a range fails, is
+    indexed in one pass, so an error is raised as that pass raises it.
+    The counts are the same either way.  ``OSError`` is raised when the
+    file cannot be opened or read.
+    """
+    with io.FileIO(path) as raw:
+        bounds = _range_bounds(raw.fileno(), workers)
+        if bounds:
+            done = _index_ranges(raw.fileno(), bounds, policy, table, ages)
+            if done is not None:
+                return done
+        return _index_raw(raw, policy, table, ages)
 
 
 def standardized_record(record: NameRecord, table: CodingTable) -> NameRecord:

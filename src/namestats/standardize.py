@@ -136,9 +136,10 @@ def correct_sex(table: CodingTable, name: str, recorded_sex: Sex) -> Sex:
 def load_coding_table(stream: IO[str], version_id: str = "unversioned") -> CodingTable:
     """Read a ``variant,canonical,sex_override`` CSV into a validated table.
 
-    Raises :class:`CodingTableError` on duplicate variants, canonicals that
-    are not fixed points of the table, canonicals violating the
-    standardized-name constraints, or text the csv module cannot read.
+    Raises :class:`CodingTableError` on duplicate variants, variants longer
+    than a truncated name, canonicals that are not fixed points of the table,
+    canonicals violating the standardized-name constraints, or text the csv
+    module cannot read.
     """
     reader = csv.DictReader(stream)
     try:
@@ -155,6 +156,11 @@ def load_coding_table(stream: IO[str], version_id: str = "unversioned") -> Codin
             raw_override = (row.get("sex_override") or "").strip().upper()
             if not variant or not variant.isalpha():
                 raise CodingTableError(f"line {lineno}: bad variant {variant!r}")
+            if len(variant) > MAX_NAME_LEN:
+                raise CodingTableError(
+                    f"line {lineno}: variant {variant!r} is longer than {MAX_NAME_LEN} "
+                    f"letters, so no truncated name can match it"
+                )
             if variant in entries:
                 raise CodingTableError(f"line {lineno}: duplicate variant {variant!r}")
             if raw_override in ("", None):

@@ -412,6 +412,41 @@ class TestIngest:
         assert reasons == ["bad_age", "generic", "single_letter"]
 
 
+class TestGenericAndTableChecks:
+    def test_generic_names_truncated(self, tmp_path):
+        src = tmp_path / "r.csv"
+        src.write_text(records_csv(["Elizabeth,F,5,1880,census,,",
+                                    "Mary Ann,F,5,1880,census,,",
+                                    "Maryann,F,5,1880,census,,"]), encoding="utf-8")
+        rejects = tmp_path / "rejects.csv"
+        code, text = run(["ingest", "--records", str(src), "--generic", "Elizabeth",
+                          "--generic", "Mary Ann", "--rejects", str(rejects)], tmp_path)
+        assert code == 0
+        assert text.splitlines()[1:] == ["MARYANN,F,5,1880,census,,"]
+        assert [line.rsplit(",", 1)[1] for line in rejects.read_text().splitlines()[1:]] \
+            == ["generic", "generic"]
+
+    @pytest.mark.parametrize("command", ["ingest", "stats", "comm", "fit"])
+    def test_generic_under_two_letters_exit_1(self, mini_corpus, tmp_path, capsys,
+                                              command):
+        argv = _valid_argv(command, mini_corpus, tmp_path)
+        assert main([*argv, "--generic", "J."]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: generic name 'J.' has fewer than 2 leading letters\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_overlong_variant_exit_1(self, mini_corpus, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("variant,canonical,sex_override\nElizabeth,ELIZA,F\n",
+                         encoding="utf-8")
+        code = main(["ingest", "--records", str(mini_corpus),
+                     "--coding-table", str(table), "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: variant 'ELIZABETH' is longer than 8")
+        assert err.count("\n") == 1
+
+
 _INGEST_CELLS = [
     st.sampled_from(["Mary", "Maria", "Mary A", " ann ", "Jno.", "Zelda", "J", "Mrs",
                      "Widow Smith", "123", ""]),
@@ -720,9 +755,7 @@ class TestFlagsAreRead:
         parsed = cli.build_parser().parse_args(argv)
         args = _ReadLog(parsed)
         assert cli._COMMANDS[command](args) == 0
-        # --threads is kept where it once chose a thread count; it has no effect
-        no_effect = {"threads"} if command in ("stats", "comm", "fit") else set()
-        assert set(vars(parsed)) - {"command"} - args._reads == no_effect
+        assert set(vars(parsed)) - {"command"} - args._reads == set()
 
     @pytest.mark.parametrize("command, flag, value", [
         ("ingest", "--k", "3"),

@@ -1,7 +1,11 @@
 import csv
+import errno
 import io
+import os
 import random
 import tempfile
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import namestats
+from namestats import corpus
 from namestats import (
     AgeUnresolvableError,
     CodingTable,
@@ -136,6 +141,18 @@ class TestFilterRecords:
         result = filter_records([rec("Baby"), rec("Widow Smith")], policy)
         assert [reason for _, reason in result.rejected] == ["generic"]
         assert len(result.kept) == 1
+
+    def test_generic_names_truncated(self):
+        policy = FilterPolicy(generic_names=frozenset({"Elizabeth", "Mary Ann", " baby"}))
+        assert policy.generic_names == {"ELIZABET", "MARY", "BABY"}
+        result = filter_records([rec("Elizabeth"), rec("Mary Ann"), rec("Maryann")],
+                                policy)
+        assert [r.raw_name for r, _ in result.rejected] == ["Elizabeth", "Mary Ann"]
+
+    @pytest.mark.parametrize("name", ["J", "J.", "", " 9", "X-ray"])
+    def test_generic_name_under_two_letters_rejected(self, name):
+        with pytest.raises(ValueError, match="fewer than 2 leading letters"):
+            FilterPolicy(generic_names=frozenset({"MR", name}))
 
     def test_non_native(self):
         policy = FilterPolicy(require_native_born=True)
@@ -435,6 +452,8 @@ class TestCohortIndex:
         index = CohortIndex([], default_age_marriage=25, default_age_adult=35)
         with pytest.raises(ValueError, match="default ages"):
             index.cohort(CohortSpec(Sex.FEMALE, 1870, 1879, default_age_marriage=27))
+        with pytest.raises(ValueError, match="default ages"):
+            index.merge(CohortIndex([], default_age_marriage=27, default_age_adult=35))
 
 
 DEMO_TABLE = Path(namestats.__file__).parent / "data" / "demo_coding.csv"
@@ -514,3 +533,227 @@ class TestMemoizedScanMatchesReference:
             if col == "name":
                 texts = set(map(leading_letters, texts))
             assert set(memo) == texts
+
+
+# cell texts with no quote and no CR: every line end is a record end
+_LINE_JUNK = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",),
+                           blacklist_characters='\x00"\r\n'),
+    max_size=6,
+)
+
+
+@st.composite
+def line_files(draw) -> str:
+    """Record file text with no quote and no CR outside a CRLF: LF and CRLF
+    line ends, blank lines, short and long rows, and code variants in every
+    field (a comma in a cell makes a long row)."""
+    optional = [c for c in RECORD_HEADER if c not in ("name", "sex", "year")]
+    columns = draw(st.lists(st.sampled_from(optional + ["extra"]), max_size=4))
+    header = draw(st.permutations(["name", "sex", "year"] + columns))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 40))):
+        shape = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "long"]))
+        row = [draw(_LINE_JUNK if draw(st.integers(0, 9)) == 0
+                    else _CELLS.get(col, _LINE_JUNK)) for col in header]
+        if shape == "blank":
+            row = []
+        elif shape == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif shape == "long":
+            row += draw(st.lists(_LINE_JUNK, min_size=1, max_size=2))
+        lines.append(",".join(row))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _waited_all() -> bool:
+    """True when this process has no child left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@contextmanager
+def _forks(min_range_bytes=1, cpus=None):
+    """Patches for a split of small files; yields the list of fork calls,
+    each forking for real until there are as many as usable CPUs, when a
+    fork fails instead of starting a process."""
+    calls = []
+    fork = os.fork
+    limit = corpus.usable_cpus() if cpus is None else cpus
+
+    def counted_fork():
+        calls.append(None)
+        if len(calls) >= limit:
+            raise OSError(errno.EAGAIN, "fork over the usable CPUs")
+        return fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_MIN_RANGE_BYTES", min_range_bytes)
+        mp.setattr(os, "fork", counted_fork)
+        if cpus is not None:
+            mp.setattr(corpus, "usable_cpus", lambda: cpus)
+        yield calls
+
+
+@contextmanager
+def _passes(fail=None):
+    """Yields the list of passes this process makes through
+    ``corpus._index_raw``; ``fail`` is raised instead in a forked child."""
+    calls = []
+    parent, index_raw = os.getpid(), corpus._index_raw
+
+    def counted(*args):
+        if os.getpid() == parent:
+            calls.append(None)
+        elif fail is not None:
+            raise fail
+        return index_raw(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_index_raw", counted)
+        yield calls
+
+
+def _indexed(path, policy, table, ages, workers):
+    """The index's buckets and reject counts, or the error it raised."""
+    try:
+        index, parse_rejects, filter_rejects = corpus.index_records(
+            str(path), policy, table, ages, workers
+        )
+    except (ParseError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+    return index._buckets, parse_rejects, filter_rejects
+
+
+class TestIndexRecords:
+    """Ranges indexed in forked processes against the one-pass index."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text=line_files(),
+        workers=st.integers(2, 6),
+        native=st.booleans(),
+        generic=st.lists(st.sampled_from(["Mary", "zelda", " Ann", "Widow"]), max_size=2),
+        ages=st.tuples(st.integers(15, 40), st.integers(15, 40)),
+        spoil=st.sampled_from([None, None, '"', "\r"]),
+        at=st.floats(0, 1),
+        read_bytes=st.integers(1, 8),
+    )
+    # a lone CR ends the header record before the header line's LF
+    @example(text="name,sex,age,year\rMary,F,5,1880\nAnn,F,5,1880\nJane,F,5,1880\n",
+             workers=2, native=False, generic=[], ages=(25, 35), spoil=None, at=0.0,
+             read_bytes=4)
+    def test_ranges_equal_one_pass(self, demo_table, text, workers, native, generic,
+                                   ages, spoil, at, read_bytes):
+        if spoil is not None:  # a quote, or a CR with no LF after it
+            i = int(at * len(text))
+            text = text[:i] + spoil + "x" + text[i:]
+        policy = FilterPolicy(generic_names=DEFAULT_GENERIC_NAMES | set(generic),
+                              require_native_born=native)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            path.write_bytes(text.encode("utf-8"))
+            want = _indexed(path, policy, demo_table, ages, 1)
+            # reads of a few bytes put CRLFs and line ends across read boundaries
+            with _forks(cpus=6) as calls, _passes() as passes, \
+                    pytest.MonkeyPatch.context() as mp:
+                mp.setattr(corpus, "_READ_BYTES", read_bytes)
+                got = _indexed(path, policy, demo_table, ages, workers)
+                with open(path, "rb") as fh:
+                    splittable = corpus._splittable(fh.fileno(), len(text.encode()))
+                    bounds = corpus._range_bounds(fh.fileno(), workers)
+        assert got == want
+        assert len(calls) == max(len(bounds) - 2, 0) <= workers - 1
+        assert _waited_all()
+        assert splittable == ('"' not in text and "\r" not in text.replace("\r\n", ""))
+        if not splittable:
+            assert bounds == []
+        elif not isinstance(want[0], str):  # no error: one pass here, no retry
+            assert len(passes) == 1
+            assert bounds == sorted(set(bounds))
+            for start in bounds[1:-1]:
+                assert text.encode("utf-8")[start - 1:start] == b"\n"
+
+    def test_large_file_split_in_usable_cpus(self, demo_table, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(records_csv([f"{name},F,{age},1890,census,,"
+                                     for age in range(40) for name in _NAMES] * 20),
+                        encoding="utf-8")
+        args = (path, FilterPolicy(), demo_table, (25, 35))
+        want = _indexed(*args, 1)
+        with _forks() as calls:
+            assert _indexed(*args, 100_000) == want
+        # one range is indexed here, one in a child per other usable CPU
+        assert len(calls) == corpus.usable_cpus() - 1
+        assert _waited_all()
+
+    def test_failed_child_falls_back_to_one_pass(self, demo_table, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(records_csv(["Mary,F,5,1880,census,,"] * 200), encoding="utf-8")
+        args = (path, FilterPolicy(), demo_table, (25, 35))
+        want = _indexed(*args, 1)
+        with _forks(cpus=3) as calls, _passes(fail=RuntimeError("child fails")) as passes:
+            assert _indexed(*args, 3) == want
+        assert len(calls) == 2
+        assert len(passes) == 2  # the first range, then the whole file
+        assert _waited_all()
+
+    def test_interrupt_kills_and_reaps_children(self, demo_table, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(records_csv(["Mary,F,5,1880,census,,"] * 200), encoding="utf-8")
+        parent, index_raw = os.getpid(), corpus._index_raw
+
+        def interrupted_here(*a):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return index_raw(*a)
+
+        with _forks(cpus=3) as calls, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "_index_raw", interrupted_here)
+            with pytest.raises(KeyboardInterrupt):
+                _indexed(path, FilterPolicy(), demo_table, (25, 35), 3)
+        assert len(calls) == 2
+        assert _waited_all()
+
+    def test_one_range_while_other_threads_run(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(records_csv(["Mary,F,5,1880,census,,"] * 200), encoding="utf-8")
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        with _forks(cpus=3), open(path, "rb") as fh:
+            assert len(corpus._range_bounds(fh.fileno(), 3)) == 4
+            thread.start()
+            try:
+                assert corpus._range_bounds(fh.fileno(), 3) == []
+            finally:
+                stop.set()
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("bad_row, message", [
+        (b"Ma\xffry,F,5,1880,census,,\n", "error: 'utf-8' codec can't decode byte 0xff"),
+        (b"A" * 140_000 + b",F,5,1880,census,,\n",
+         "parse error: record file line 6002: field larger than field limit"),
+    ], ids=["invalid_utf8", "oversized_field"])
+    def test_error_in_second_range_as_one_pass(self, tmp_path, capsys, bad_row, message):
+        path = tmp_path / "r.csv"
+        head = records_csv(["Mary,F,5,1880,census,,"] * 6000).encode("utf-8")
+        path.write_bytes(head + bad_row + b"Ann,F,5,1880,census,,\n" * 10)
+        argv = ["stats", "--records", str(path), "--span", "1870:1879", "--sex", "F",
+                "--out", str(tmp_path / "out.csv")]
+        code = main([*argv, "--threads", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(message) and err.count("\n") == 1
+        with _forks(min_range_bytes=1024, cpus=2) as calls:
+            assert main([*argv, "--threads", "2"]) == code
+        assert capsys.readouterr().err == err
+        assert len(calls) == 1
+        assert _waited_all()
+        assert not (tmp_path / "out.csv").exists()

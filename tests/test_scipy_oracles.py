@@ -1,4 +1,5 @@
-"""Independent oracles from scipy for I_s and the two constraint solvers.
+"""Independent oracles from scipy for I_s, the C1/C2 relative entropies and
+the two constraint solvers.
 
 scipy is a test-only dependency; the module is skipped when it is absent.
 Tolerances are the acceptance ones: 1e-9 on I_s and on the exponent.
@@ -11,10 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
+scipy_special = pytest.importorskip("scipy.special")
 scipy_stats = pytest.importorskip("scipy.stats")
 
 from namestats import (  # noqa: E402
+    AlignedPair,
     PopularityList,
+    comm_c1,
+    comm_c2,
     social_information,
     solve_from_info_constraints,
     solve_from_top_constraints,
@@ -72,3 +77,30 @@ def test_info_constraints_match_brentq(k, frac, total):
     model = solve_from_info_constraints(info_is, total, k)
     assert model.exponent == pytest.approx(want, abs=1e-9)
     assert model.total == pytest.approx(total, abs=1e-10)
+
+
+@st.composite
+def aligned_pairs(draw) -> AlignedPair:
+    """Year-2 top-k popularities and year-1 ones (some imputed), each list's
+    total in (0, 1) so that C1's other-names term is finite."""
+    k = draw(st.integers(1, 30))
+    w2 = draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
+    w1 = draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k))
+    t22, t21 = draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99))
+    p2 = sorted((t22 * w / math.fsum(w2) for w in w2), reverse=True)
+    p1 = [t21 * w / math.fsum(w1) for w in w1]
+    return AlignedPair(k, tuple(f"N{j:02d}" for j in range(k)), tuple(p2), tuple(p1),
+                       (False,) * k, math.fsum(p2), math.fsum(p1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(aligned_pairs())
+def test_c1_c2_match_rel_entr(pair):
+    """C1 is KL(year 2 || year 1) over the top k plus one other-names cell;
+    C2 is KL between the top-k popularities renormalized by their totals."""
+    rel_entr = scipy_special.rel_entr
+    c1 = math.fsum(rel_entr([*pair.p2, 1 - pair.t22], [*pair.p1, 1 - pair.t21]))
+    c2 = math.fsum(rel_entr([q / pair.t22 for q in pair.p2],
+                            [q / pair.t21 for q in pair.p1]))
+    assert comm_c1(pair) == pytest.approx(c1 / math.log(2), abs=1e-9)
+    assert comm_c2(pair) == pytest.approx(c2 / math.log(2), abs=1e-9)

@@ -124,6 +124,12 @@ class TestLoadCodingTable:
         with pytest.raises(CodingTableError):
             _load("variant,canonical,sex_override\nMARY,MARYMAGDALENE,\n")
 
+    def test_overlong_variant_rejected(self):
+        # no truncated name is longer than eight letters, so ELIZABETH could
+        # never be looked up
+        with pytest.raises(CodingTableError, match="^line 2: variant 'ELIZABETH' is long"):
+            _load("variant,canonical,sex_override\nElizabeth,ELIZA,F\n")
+
     def test_duplicate_variant_rejected(self):
         with pytest.raises(CodingTableError, match="duplicate"):
             _load("variant,canonical,sex_override\nMARIA,MARY,\nmaria,MARY,\n")
