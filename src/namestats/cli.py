@@ -30,10 +30,16 @@ into a birth-year cohort index, so memory grows with distinct names times
 birth years, not with rows, and every cohort is then read from the index.
 Reports are written in (cohort span, sex) order and are byte-identical
 across runs.  All output files are opened before the first report byte is
-written.  Each is written beside its path and moved onto it only when the
-run succeeds, so a run that exits 1 leaves every output path as it was,
-and --out may name --records.  Errors name the path that failed.
---min-count must be at least 1 and --years above 0.
+written; ingest and fit open them before reading --records.  Each is
+written beside its path and moved onto it only when the run succeeds, so a
+run that exits 1 leaves every output path as it was, and --out may name
+--records.  Two outputs of one run (--out and --rejects, --out and --chart)
+may not name the same file, unless it is one such as /dev/null that is
+written in place.  Errors name the path that failed.  --records and
+--coding-table are UTF-8, and a leading byte-order mark is skipped.
+--min-count must be at least 1, --years above 0 and --t11 in (0, 1], and
+simulate's --year within 1000-2100; each is checked before any input is
+read or any simulation run.
 
 simulate renders the CSV row of each distinct simulated name once and
 repeats it by label in birth order, so it never holds one record per birth;
@@ -125,6 +131,13 @@ def _positive_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
 
 
+def _fraction(text: str) -> float:
+    with suppress(ValueError):
+        if 0 < float(text) <= 1:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
+
+
 def _output_flags(parser: argparse.ArgumentParser, report: bool = True) -> None:
     if report:
         parser.add_argument("--format", choices=("csv", "markdown"), default="csv")
@@ -177,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span2", type=_span, required=True, metavar="START:END")
     p.add_argument("--years", type=_positive_float, default=None,
                    help="elapsed years (default: span midpoint difference)")
-    p.add_argument("--t11", type=float, default=None)
+    p.add_argument("--t11", type=_fraction, default=None)
 
     p = sub.add_parser("fit", help="rank-frequency power-law fit per cohort")
     _cohort_flags(p)
@@ -197,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--year2-total", type=float, default=0.45)
     p.add_argument("--year1-info", type=float, default=0.4)
     p.add_argument("--year1-total", type=float, default=0.045)
-    p.add_argument("--t11", type=float, required=True)
+    p.add_argument("--t11", type=_fraction, required=True)
     p.add_argument("--span-label", default="1066-1166")
 
     p = sub.add_parser("simulate", help="generate a synthetic record file")
@@ -232,12 +245,12 @@ class _File(io.FileIO):
             raise CliError(f"cannot write {self.label}: {exc}", EXIT_PARSE) from exc
 
 
-def _open_input(path: str, newline: str | None = None):
+def _open_input(path: str) -> io.TextIOWrapper:
     try:
         raw = _File(path, "r", path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
-    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline=newline)
+    return corpus.text_input(raw)
 
 
 def _load_table(args) -> CodingTable:
@@ -267,7 +280,7 @@ def _scan_records(args):
     """A :class:`corpus.RecordScan` of --records under --coding-table and the
     filter flags, for the body to consume; notes the reject counts after it."""
     policy, table = _policy_and_table(args)
-    with _open_input(args.records, newline="") as fh:
+    with _open_input(args.records) as fh:
         scan = corpus.RecordScan(fh, policy, table)
         yield scan
     _note_rejects(len(scan.parse_rejected), len(scan.filter_rejected))
@@ -330,7 +343,8 @@ def _outputs(out: str | None, *others: str | None):
     A file written beside its path (see :func:`_open_output`) replaces the
     path only after the body returns and every output is closed, so a run
     that fails leaves each output path as it was, and --out may name
-    --records.  Errors are CliErrors naming the path that failed.
+    --records.  Two such paths may not name one file.  Errors are
+    CliErrors naming the path that failed.
     """
     opened, staged = [], []
     try:
@@ -339,7 +353,12 @@ def _outputs(out: str | None, *others: str | None):
                 fh, tmp, target = _open_output(path)
                 opened.append(fh)
                 if tmp is not None:
+                    # one replace of the target would undo the other
+                    same = [other for _, done, other in staged if done == target]
                     staged.append((tmp, target, path))
+                    if same:
+                        raise CliError(f"cannot write {same[0]} and {path}: "
+                                       "they name the same file", EXIT_PARSE)
         files = iter(opened)
         yield [sys.stdout if out is None else next(files)] + [
             None if path is None else next(files) for path in others
@@ -377,7 +396,8 @@ def _spec(args, sex: Sex, span: tuple[int, int]) -> CohortSpec:
 
 
 def _cmd_ingest(args) -> int:
-    with _scan_records(args) as scan, _outputs(args.out, args.rejects) as (out, rejects):
+    with (_outputs(args.out, args.rejects) as (out, rejects),
+          _scan_records(args) as scan):
         corpus.write_rows(scan, out)
         if rejects is not None:
             corpus.write_rejection_report(scan.parse_rejected, scan.filter_rejected,
@@ -453,8 +473,8 @@ def _cmd_fit(args) -> int:
         ftable = frequency_table(cohort)
         return ftable, fit_rank_frequency(ftable, args.min_count)
 
-    rows = _each_cohort(args, jobs, fit)
     with _outputs(args.out, args.chart) as (out, chart):
+        rows = _each_cohort(args, jobs, fit)
         out.write(reports.render_fits([(l, s, f) for l, s, (_, f) in rows], args.format))
         if chart is not None:
             _, _, (ftable, _) = rows[0]

@@ -178,8 +178,10 @@ def comm_c1(pair: AlignedPair) -> float:
     other2 = max(0.0, 1.0 - pair.t22)
     other1 = max(0.0, 1.0 - pair.t21)
     if other2 < _EPS:
-        # 0 * log2(0/x) -> 0, including the 0/0 convention
-        return top
+        # 0 * log2(0/x) -> 0, including the 0/0 convention.  The top-k sum
+        # is at least t22 * log2(t22 / t21), which totals within _EPS of 1
+        # keep above -3 * _EPS: a negative sum is 0 at that resolution
+        return max(top, 0.0)
     if other1 < _EPS:
         raise DivergentOtherMassError()
     return top + other2 * math.log2(other2 / other1)

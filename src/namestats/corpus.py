@@ -1,6 +1,7 @@
 """Record parsing, inclusion filters, birth-year assignment, and cohorts.
 
-The record file is a UTF-8 CSV with header
+The record file is a UTF-8 CSV, with or without a leading byte-order mark
+(see :func:`text_input`), with header
 ``name,sex,age,year,kind,location,native_born`` (sex codes F/M/U, empty
 string for absent optionals).  Malformed rows are collected with a reason
 rather than silently dropped so that sample construction stays auditable.
@@ -739,13 +740,18 @@ class _Spans(io.RawIOBase):
         return 0
 
 
+def text_input(raw: io.RawIOBase) -> io.TextIOWrapper:
+    """The text of a CSV input's bytes: UTF-8, less a leading byte-order mark
+    (as spreadsheet programs write), with line ends left to the csv module."""
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="")
+
+
 def _index_raw(
     raw: io.RawIOBase, policy: FilterPolicy, table: CodingTable, ages: tuple[int, int]
 ) -> tuple[CohortIndex, int, int]:
-    """The :class:`CohortIndex` of a raw UTF-8 record stream's kept rows, and
-    its parse and filter reject counts."""
-    stream = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="")
-    scan = RecordScan(stream, policy, table)
+    """The :class:`CohortIndex` of a raw record stream's kept rows, and its
+    parse and filter reject counts."""
+    scan = RecordScan(text_input(raw), policy, table)
     index = CohortIndex(scan, *ages)
     return index, len(scan.parse_rejected), len(scan.filter_rejected)
 

@@ -88,28 +88,27 @@ def fit_ranked_frequencies(
     rank j is the 1-based position.  R-squared of a constant series is
     defined as 1 when the line reproduces it exactly.
     """
-    import numpy as np
-
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim != 1 or len(freqs) < 3:
-        raise InsufficientPointsError(
-            f"need >= 3 qualifying points, got {len(freqs)}"
-        )
-    if np.any(freqs <= 0):
+    n = len(frequencies)
+    if n < 3:
+        raise InsufficientPointsError(f"need >= 3 qualifying points, got {n}")
+    if any(f <= 0 for f in frequencies):
         raise ValueError("frequencies must be positive")
-    x = np.log2(np.arange(1, len(freqs) + 1, dtype=float))
-    y = np.log2(freqs)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.dot(resid, resid))
-    centered = y - y.mean()
-    ss_tot = float(np.dot(centered, centered))
+    x = [math.log2(j) for j in range(1, n + 1)]
+    y = [math.log2(f) for f in frequencies]
+    x_mean = math.fsum(x) / n
+    y_mean = y[0] + math.fsum(v - y[0] for v in y) / n  # exact for a constant y
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    intercept = y_mean - slope * x_mean
+    ss_res = math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(x, y))
+    ss_tot = math.fsum(b * b for b in dy)
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res < 1e-18 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
     r2 = min(1.0, max(0.0, r2))
-    return PowerLawFit(float(slope), float(intercept), r2, len(freqs), min_count)
+    return PowerLawFit(slope, intercept, r2, n, min_count)
 
 
 def fit_rank_frequency(table: FrequencyTable, min_count: int = 5) -> PowerLawFit:

@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .corpus import Cohort, CohortSpec, NameRecord, RecordKind
+from .corpus import YEAR_MAX, YEAR_MIN, Cohort, CohortSpec, NameRecord, RecordKind
 from .standardize import MAX_NAME_LEN, Sex
 
 if TYPE_CHECKING:
@@ -83,6 +83,10 @@ class SimulationConfig:
             raise ValueError("births must be >= 1")
         if self.initial_names < 1:
             raise ValueError("initial_names must be >= 1")
+        if not YEAR_MIN <= self.year <= YEAR_MAX:
+            raise ValueError(
+                f"record_year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]"
+            )
 
 
 def _simulate_labels(config: SimulationConfig) -> tuple[list[str], np.ndarray]:

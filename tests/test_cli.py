@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from namestats import cli
+from namestats import cli, corpus, synth
 from namestats.cli import main
 from namestats.corpus import (
     RECORD_HEADER,
@@ -302,6 +302,14 @@ class TestConquest:
         code = main(["conquest"])
         assert code == 1
 
+    @pytest.mark.parametrize("t11", ["5", "0", "nan", "-0.5", "half"])
+    def test_t11_outside_unit_interval_exit_1(self, tmp_path, capsys, t11):
+        code = main(["conquest", "--t11", t11, "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument --t11: must be a number in (0, 1], got '{t11}'" in err
+        assert os.listdir(tmp_path) == []
+
 
 class TestSimulate:
     def test_writes_records_and_metadata(self, tmp_path):
@@ -372,6 +380,19 @@ class TestSimulate:
         assert main(flags) == 0
         assert capsys.readouterr().out == whole.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("year", ["999", "5000"])
+    def test_year_checked_before_simulating(self, tmp_path, capsys, monkeypatch, year):
+        def refuse(config):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr(synth, "simulate_record_labels", refuse)
+        code = main(["simulate", "--alpha", "0.1", "--births", "10", "--year", year,
+                     "--out", str(tmp_path / "sim.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: record_year {year} outside [1000, 2100]\n"
+        assert os.listdir(tmp_path) == []
+
     def test_year_out_of_range_exit_1(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         code = main(["simulate", "--alpha", "0.1", "--births", "10", "--year", "3000",
@@ -410,6 +431,50 @@ class TestIngest:
         assert reject_lines[0].endswith(",reason")
         reasons = sorted(line.rsplit(",", 1)[1] for line in reject_lines[1:])
         assert reasons == ["bad_age", "generic", "single_letter"]
+
+
+class TestByteOrderMark:
+    """Spreadsheet programs start a UTF-8 CSV with a byte-order mark, which
+    every input skips."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_records(self, mini_corpus, tmp_path, monkeypatch):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(self.BOM + mini_corpus.read_bytes())
+        rejects = ["--rejects", str(tmp_path / "rejects.csv")]
+        _, want = run(["ingest", "--records", str(mini_corpus), *rejects], tmp_path)
+        want_rejects = (tmp_path / "rejects.csv").read_bytes()
+        code, text = run(["ingest", "--records", str(marked), *rejects], tmp_path)
+        assert code == 0
+        assert text == want
+        assert (tmp_path / "rejects.csv").read_bytes() == want_rejects
+
+        stats = ["stats", "--span", "1870:1879", "--span", "1880:1889", "--sex", "F"]
+        _, want = run([*stats, "--records", str(mini_corpus)], tmp_path)
+        assert want.count("\n") == 3
+        code, text = run([*stats, "--records", str(marked), "--threads", "1"], tmp_path)
+        assert (code, text) == (0, want)
+        # two ranges, the second reading the marked header line again
+        monkeypatch.setattr(corpus, "_MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(corpus, "usable_cpus", lambda: 2)
+        ranged = []
+        index_ranges = corpus._index_ranges
+        monkeypatch.setattr(corpus, "_index_ranges",
+                            lambda *a: ranged.append(index_ranges(*a)) or ranged[-1])
+        code, text = run([*stats, "--records", str(marked), "--threads", "2"], tmp_path)
+        assert (code, text) == (0, want)
+        assert len(ranged) == 1 and ranged[0] is not None
+
+    def test_coding_table(self, mini_corpus, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_bytes(self.BOM + Path(DEMO_TABLE).read_bytes())
+        stats = ["stats", "--records", str(mini_corpus), "--span", "1870:1879",
+                 "--sex", "F"]
+        _, want = run([*stats, "--coding-table", DEMO_TABLE], tmp_path)
+        assert "MARY" in want
+        code, text = run([*stats, "--coding-table", str(table)], tmp_path)
+        assert (code, text) == (0, want)
 
 
 class TestGenericAndTableChecks:
@@ -589,12 +654,55 @@ class TestErrorPaths:
          "argument --years: must be a number > 0"),
         (["comm", "--span1", "1870:1879", "--span2", "1880:1889", "--years", "nan"],
          "argument --years: must be a number > 0"),
+        (["comm", "--span1", "1870:1879", "--span2", "1880:1889", "--t11", "5"],
+         "argument --t11: must be a number in (0, 1]"),
+        (["comm", "--span1", "1870:1879", "--span2", "1880:1889", "--t11", "0"],
+         "argument --t11: must be a number in (0, 1]"),
+        (["comm", "--span1", "1870:1879", "--span2", "1880:1889", "--t11", "nan"],
+         "argument --t11: must be a number in (0, 1]"),
     ])
     def test_nonpositive_count_or_years_exit_1_before_reading(self, tmp_path, capsys,
                                                               argv, message):
         code = main([*argv, "--records", str(tmp_path / "absent.csv")])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        (["ingest"], "--rejects"),
+        (["fit", "--span", "1870:1879", "--sex", "F", "--min-count", "1"], "--chart"),
+    ])
+    def test_two_outputs_one_file_exit_1_before_reading(self, tmp_path, capsys,
+                                                        command, flag):
+        out = tmp_path / "out.csv"
+        link = tmp_path / "link.csv"
+        link.symlink_to(out)
+        records = tmp_path / "absent.csv"
+        for old in (None, b"old report\n"):
+            if old is not None:
+                out.write_bytes(old)
+            for second in (out, tmp_path / "." / "out.csv", link):
+                code = main([*command, "--records", str(records), "--out", str(out),
+                             flag, str(second)])
+                assert code == 1
+                assert capsys.readouterr().err == (
+                    f"cannot write {out} and {second}: they name the same file\n"
+                )
+                assert out.exists() == (old is not None)
+                if old is not None:
+                    assert out.read_bytes() == old
+                assert sorted(os.listdir(tmp_path)) == sorted(
+                    ["link.csv"] + ["out.csv"] * (old is not None)
+                )
+
+    @pytest.mark.parametrize("command, flag", [
+        (["ingest"], "--rejects"),
+        (["fit", "--span", "1870:1879", "--sex", "F", "--min-count", "1"], "--chart"),
+    ])
+    def test_two_outputs_to_devnull(self, mini_corpus, capsys, command, flag):
+        code = main([*command, "--records", str(mini_corpus),
+                     "--out", os.devnull, flag, os.devnull])
+        assert code == 0
+        assert capsys.readouterr().out == ""
 
     def test_unwritable_chart_leaves_no_report(self, mini_corpus, tmp_path):
         out = tmp_path / "fit.csv"
@@ -790,6 +898,35 @@ class TestFlagsAreRead:
 
 
 class TestImports:
+    def test_commands_run_without_numpy(self, mini_corpus, tmp_path):
+        """Every command but simulate runs where numpy cannot be imported, and
+        writes the bytes it writes where it can."""
+        commands = ["ingest", "stats", "comm", "fit", "samplevar", "conquest"]
+        probe = ("import json, sys\n"
+                 "if sys.argv[1] == 'blocked':\n"
+                 "    sys.modules['numpy'] = None\n"
+                 "from namestats.cli import main\n"
+                 "codes = [main(argv) for argv in json.loads(sys.argv[2])]\n"
+                 "print(json.dumps(codes))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for mode in ("blocked", "free"):
+            argvs = []
+            for command in commands:
+                (tmp_path / mode / command).mkdir(parents=True)
+                argvs.append(_valid_argv(command, mini_corpus,
+                                         tmp_path / mode / command))
+            done = subprocess.run(
+                [sys.executable, "-c", probe, mode, json.dumps(argvs)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            assert json.loads(done.stdout) == [0] * len(commands), done.stderr
+        for command in commands:
+            blocked, free = tmp_path / "blocked" / command, tmp_path / "free" / command
+            assert sorted(os.listdir(blocked)) == sorted(os.listdir(free))
+            for name in os.listdir(free):
+                assert (blocked / name).read_bytes() == (free / name).read_bytes()
+            assert (free / "out.csv").stat().st_size > 0
+
     def test_cli_import_loads_no_numpy(self):
         src = Path(cli.__file__).parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))

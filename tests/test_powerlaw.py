@@ -1,7 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from namestats import (
     InfeasibleConstraintsError,
@@ -41,7 +44,66 @@ def model_plist(model: LogLinearModel) -> PopularityList:
     return PopularityList(model.k, entries)
 
 
+def polyfit_reference(frequencies) -> tuple[float, float, float]:
+    """Slope, intercept and R^2 of np.polyfit's least-squares line through
+    (log2 rank, log2 frequency); R^2 of a constant series is 1, as that
+    line reproduces it."""
+    y = np.log2(np.asarray(frequencies, dtype=float))
+    x = np.log2(np.arange(1, len(y) + 1, dtype=float))
+    slope, intercept = np.polyfit(x, y, 1)
+    if np.ptp(y) == 0:
+        return float(slope), float(intercept), 1.0
+    resid = y - (slope * x + intercept)
+    centered = y - y.mean()
+    r2 = 1.0 - float(resid @ resid) / float(centered @ centered)
+    return float(slope), float(intercept), min(1.0, max(0.0, r2))
+
+
+@st.composite
+def ranked_series(draw) -> list[float]:
+    """3-500 positive non-increasing points: a noisy power law, counts with
+    ties, or a constant, scaled to near 1e-300, 1 or 1e300."""
+    n = draw(st.integers(3, 500))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["power", "counts", "constant"]))
+    if kind == "constant":
+        base = [rng.uniform(1.0, 1e6)] * n
+    elif kind == "counts":
+        top = 10 ** rng.randint(1, 6)
+        base = sorted((rng.randint(1, top) for _ in range(n)), reverse=True)
+    else:
+        b = rng.uniform(-2.5, -0.05)
+        base = sorted((100.0 * j**b * 2 ** rng.gauss(0, 0.3) for j in range(1, n + 1)),
+                      reverse=True)
+    scale = draw(st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]))
+    return [v * scale for v in base]
+
+
 class TestFitRankFrequency:
+    @settings(max_examples=300, deadline=None)
+    @given(ranked_series())
+    def test_matches_polyfit(self, freqs):
+        fit = fit_ranked_frequencies(freqs)
+        slope, intercept, r2 = polyfit_reference(freqs)
+        assert fit.slope == pytest.approx(slope, abs=1e-9)
+        assert fit.intercept == pytest.approx(intercept, abs=1e-9)
+        assert fit.r_squared == pytest.approx(r2, abs=1e-9)
+        assert fit.points_used == len(freqs)
+
+    def test_numpy_array_input(self):
+        freqs = np.array([40.0, 20.0, 9.0, 6.0, 2.0])
+        assert fit_ranked_frequencies(freqs) == fit_ranked_frequencies(freqs.tolist())
+
+    @pytest.mark.parametrize("freqs, error, message", [
+        ([5.0, 3.0], InsufficientPointsError, "need >= 3 qualifying points, got 2"),
+        ([], InsufficientPointsError, "need >= 3 qualifying points, got 0"),
+        ([5.0, 3.0, 0.0], ValueError, "frequencies must be positive"),
+        ([5.0, -3.0, 1.0], ValueError, "frequencies must be positive"),
+    ])
+    def test_errors(self, freqs, error, message):
+        with pytest.raises(error, match=message):
+            fit_ranked_frequencies(freqs)
+
     def test_exact_inverse_rank(self):
         counts = {f"N{j:02d}": 2520 // j for j in range(1, 11)}  # 2520 = lcm(1..10)
         fit = fit_rank_frequency(frequency_table(make_cohort(counts)), min_count=1)

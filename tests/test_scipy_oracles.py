@@ -1,5 +1,5 @@
-"""Independent oracles from scipy for I_s, the C1/C2 relative entropies and
-the two constraint solvers.
+"""Independent oracles from scipy for I_s, the C1/C2 relative entropies, the
+two constraint solvers and the rank-frequency line fit.
 
 scipy is a test-only dependency; the module is skipped when it is absent.
 Tolerances are the acceptance ones: 1e-9 on I_s and on the exponent.
@@ -8,7 +8,7 @@ Tolerances are the acceptance ones: 1e-9 on I_s and on the exponent.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
@@ -20,6 +20,7 @@ from namestats import (  # noqa: E402
     PopularityList,
     comm_c1,
     comm_c2,
+    fit_ranked_frequencies,
     social_information,
     solve_from_info_constraints,
     solve_from_top_constraints,
@@ -104,3 +105,17 @@ def test_c1_c2_match_rel_entr(pair):
                             [q / pair.t21 for q in pair.p1]))
     assert comm_c1(pair) == pytest.approx(c1 / math.log(2), abs=1e-9)
     assert comm_c2(pair) == pytest.approx(c2 / math.log(2), abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 10**4), min_size=3, max_size=300))
+def test_fit_matches_linregress(counts):
+    """Slope, intercept and R^2 of the log2-log2 rank-frequency line."""
+    freqs = sorted(counts, reverse=True)
+    assume(freqs[0] != freqs[-1])  # linregress leaves r undefined for a constant y
+    want = scipy_stats.linregress([math.log2(j) for j in range(1, len(freqs) + 1)],
+                                  [math.log2(f) for f in freqs])
+    fit = fit_ranked_frequencies(freqs)
+    assert fit.slope == pytest.approx(want.slope, abs=1e-9)
+    assert fit.intercept == pytest.approx(want.intercept, abs=1e-9)
+    assert fit.r_squared == pytest.approx(want.rvalue**2, abs=1e-9)

@@ -123,6 +123,9 @@ def test_config_validation():
         SimulationConfig(innovation_rate=0.5, births=0)
     with pytest.raises(ValueError):
         SimulationConfig(innovation_rate=0.5, births=10, initial_names=0)
+    for year in (999, 5000):
+        with pytest.raises(ValueError, match=f"record_year {year} outside"):
+            SimulationConfig(innovation_rate=0.5, births=10, year=year)
 
 
 def recording(kind: str | None, log: list[int]):
