@@ -41,9 +41,9 @@ written in place.  Errors name the path that failed.  --records and
 simulate's --year within 1000-2100; each is checked before any input is
 read or any simulation run.
 
-simulate renders the CSV row of each distinct simulated name once and
-repeats it by label in birth order, so it never holds one record per birth;
-the repeated rows are written a slice at a time.
+simulate renders the CSV row of each distinct simulated name once, from the
+name by the ingest writer, and repeats it by label in birth order, so it
+builds no record per name or birth; the repeats are written a slice at a time.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from typing import Iterable
 
 from . import corpus, reports, synth
 from .commstats import DivergentOtherMassError, comm_all
-from .corpus import CohortSpec, FilterPolicy, ParseError
+from .corpus import CohortSpec, FilterPolicy, ParseError, RecordKind
 from .popstats import (
     InsufficientDistinctNamesError,
     frequency_table,
@@ -511,11 +511,12 @@ def _cmd_simulate(args) -> int:
         sex=Sex(args.sim_sex),
         year=args.year,
     )
-    records, labels = synth.simulate_record_labels(config)
+    names, labels = synth.simulate_labels(config)
     # each distinct name's row is rendered once and repeated by label, and
     # the repeats are joined a slice at a time, never into one whole report
+    fields = (config.sex.value, None, config.year, RecordKind.BIRTH_REGISTER.value, None, None)
     buf = io.StringIO()
-    corpus.write_records(records, buf)
+    corpus.write_rows(((name, *fields) for name in names), buf)
     buf.seek(0)
     header, *rows = buf  # a StringIO's lines end only at "\n", as the writer's do
     del buf  # its buffer (about 8 MB at 10^6 births) would outlive the writes

@@ -75,7 +75,9 @@ class AlignedPair:
         if self.t11 is not None:
             if not 0 < self.t11 <= 1 + _EPS:
                 raise ValueError("t11 must lie in (0, 1]")
-            if self.t11 < self.t21 - 1e-9:
+            # relative slack for rounding: C3 - C2 = log2(T11 / T21) stays
+            # above -1.5e-10, inside CommResult's 1e-9, at any scale
+            if self.t11 < self.t21 * (1 - 1e-10):
                 raise ValueError(f"t11 {self.t11} < t21 {self.t21}")
 
 

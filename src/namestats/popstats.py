@@ -166,13 +166,17 @@ def top_k(table: FrequencyTable, k: int = 10) -> PopularityList:
     return PopularityList(k, entries)
 
 
+def normalized_information(weights: Sequence[float]) -> float:
+    """log2(k) minus the entropy of k positive weights normalized to sum 1."""
+    total = math.fsum(weights)
+    return math.log2(len(weights)) + math.fsum(
+        (w / total) * math.log2(w / total) for w in weights
+    )
+
+
 def social_information(plist: PopularityList) -> float:
     """I_s in bits: log2(k) minus the entropy of the normalized list."""
-    total = plist.total
-    return math.log2(plist.k) + math.fsum(
-        (e.popularity / total) * math.log2(e.popularity / total)
-        for e in plist.entries
-    )
+    return normalized_information(plist.popularities)
 
 
 def summarize(cohort: Cohort, k: int = 10) -> PopularitySummary:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .commstats import AlignedPair, CommResult, comm_from_pair
-from .popstats import FrequencyTable, ranked
+from .popstats import FrequencyTable, normalized_information, ranked
 
 B_MIN, B_MAX = -20.0, 0.0
 BRACKET_WIDTH = 1e-12
@@ -76,7 +76,7 @@ class LogLinearModel:
 
     @property
     def total(self) -> float:
-        return math.fsum(self.scale * j**self.exponent for j in range(1, self.k + 1))
+        return math.fsum(self.popularities)
 
 
 def fit_ranked_frequencies(
@@ -154,11 +154,7 @@ def _rank_sum(b: float, k: int) -> float:
 
 def model_information(b: float, k: int) -> float:
     """I_s of the normalized model j**b over ranks 1..k; depends on b only."""
-    weights = [j**b for j in range(1, k + 1)]
-    total = math.fsum(weights)
-    return math.log2(k) + math.fsum(
-        (w / total) * math.log2(w / total) for w in weights
-    )
+    return normalized_information([j**b for j in range(1, k + 1)])
 
 
 def solve_from_top_constraints(p1: float, total: float, k: int) -> LogLinearModel:

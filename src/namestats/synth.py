@@ -89,7 +89,7 @@ class SimulationConfig:
             )
 
 
-def _simulate_labels(config: SimulationConfig) -> tuple[list[str], np.ndarray]:
+def simulate_labels(config: SimulationConfig) -> tuple[list[str], np.ndarray]:
     """``(names, labels)``: individual i (founders first) is ``names[labels[i]]``.
 
     ``names`` holds one entry per root in order of first appearance.
@@ -128,7 +128,7 @@ def simulate_naming(config: SimulationConfig) -> Cohort:
     """
     import numpy as np
 
-    names, labels = _simulate_labels(config)
+    names, labels = simulate_labels(config)
     counts: Counter[str] = Counter()
     for name, n in zip(names, np.bincount(labels).tolist()):
         counts[name] += n
@@ -136,11 +136,12 @@ def simulate_naming(config: SimulationConfig) -> Cohort:
     return Cohort(spec, counts)
 
 
-def simulate_record_labels(config: SimulationConfig) -> tuple[list[NameRecord], np.ndarray]:
-    """``(records, labels)``: one birth-register record per name, in order of
-    first appearance, and for each individual in birth order the index of
-    its record."""
-    names, labels = _simulate_labels(config)
+def simulate_records(config: SimulationConfig) -> list[NameRecord]:
+    """The same simulation as birth-register records, in birth order.
+
+    Individuals who share a name share one (frozen) record object.
+    """
+    names, labels = simulate_labels(config)
     records = [
         NameRecord(
             raw_name=name,
@@ -150,15 +151,7 @@ def simulate_record_labels(config: SimulationConfig) -> tuple[list[NameRecord], 
         )
         for name in names
     ]
-    return records, labels
-
-
-def simulate_records(config: SimulationConfig) -> list[NameRecord]:
-    """The same simulation as birth-register records, in birth order.
-
-    Individuals who share a name share one (frozen) record object.
-    """
-    return repeat_by_label(*simulate_record_labels(config))
+    return repeat_by_label(records, labels)
 
 
 def repeat_by_label(items: list, labels: np.ndarray) -> list:

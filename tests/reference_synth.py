@@ -1,6 +1,6 @@
 """Slow reference for the vectorized simulator.
 
-``simulate_sequence`` is the per-birth loop that ``synth._simulate_labels``
+``simulate_sequence`` is the per-birth loop that ``synth.simulate_labels``
 replaced: one scalar ``rng.integers`` call per copying birth, in birth
 order.  The property tests in ``test_synth.py`` require the vectorized
 pass to give the same name for every individual, and to call

@@ -310,6 +310,14 @@ class TestConquest:
         assert f"argument --t11: must be a number in (0, 1], got '{t11}'" in err
         assert os.listdir(tmp_path) == []
 
+    def test_t11_just_below_t21_is_refused_by_the_pair(self, tmp_path, capsys):
+        # year 1's model total T21 is --year1-total, 0.045
+        code = main(["conquest", "--t11", "0.0449999999"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: t11 0.0449999999 < t21 0.04")
+        assert "C3 must be at least C2" not in err
+
 
 class TestSimulate:
     def test_writes_records_and_metadata(self, tmp_path):
@@ -369,6 +377,29 @@ class TestSimulate:
         assert main(["simulate", *flags]) == 0
         assert capsys.readouterr().out == want.getvalue()
 
+    def test_builds_no_records(self, tmp_path, capsys, monkeypatch):
+        """simulate renders its rows from the names, to --out and to stdout,
+        without constructing a NameRecord."""
+        config = SimulationConfig(0.3, 2000, initial_names=3, seed=9)
+        want = io.StringIO()
+        write_records(
+            (NameRecord(name, config.sex, config.year, RecordKind.BIRTH_REGISTER)
+             for name in simulate_sequence(config)),
+            want,
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a NameRecord was built")
+
+        monkeypatch.setattr(NameRecord, "__init__", refuse)
+        flags = ["simulate", "--alpha", "0.3", "--births", "2000",
+                 "--initial-names", "3", "--seed", "9"]
+        out = tmp_path / "sim.csv"
+        assert main([*flags, "--out", str(out)]) == 0
+        assert out.read_bytes() == want.getvalue().encode("utf-8")
+        assert main(flags) == 0
+        assert capsys.readouterr().out == want.getvalue()
+
     def test_write_slices_keep_bytes(self, tmp_path, capsys, monkeypatch):
         flags = ["simulate", "--alpha", "0.3", "--births", "100", "--seed", "4"]
         whole, sliced = tmp_path / "whole.csv", tmp_path / "sliced.csv"
@@ -385,7 +416,7 @@ class TestSimulate:
         def refuse(config):
             raise AssertionError("the simulation ran")
 
-        monkeypatch.setattr(synth, "simulate_record_labels", refuse)
+        monkeypatch.setattr(synth, "simulate_labels", refuse)
         code = main(["simulate", "--alpha", "0.1", "--births", "10", "--year", year,
                      "--out", str(tmp_path / "sim.csv")])
         assert code == 1

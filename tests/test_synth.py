@@ -16,7 +16,7 @@ from namestats import (
     top_k,
     truncate_name,
 )
-from namestats.synth import _simulate_labels, sequential_name, simulation_metadata
+from namestats.synth import sequential_name, simulate_labels, simulation_metadata
 
 from reference_synth import simulate_sequence
 
@@ -164,7 +164,7 @@ def assert_matches_loop(alpha, births, founders, seed, alphabet=None):
     want = simulate_sequence(config(want_log))
 
     log: list[int] = []
-    names, labels = _simulate_labels(config(log))
+    names, labels = simulate_labels(config(log))
     assert [names[j] for j in labels.tolist()] == want
     assert log == want_log
 
