@@ -41,9 +41,11 @@ written in place.  Errors name the path that failed.  --records and
 simulate's --year within 1000-2100; each is checked before any input is
 read or any simulation run.
 
-simulate renders the CSV row of each distinct simulated name once, from the
-name by the ingest writer, and repeats it by label in birth order, so it
-builds no record per name or birth; the repeats are written a slice at a time.
+simulate builds every distinct name in one itertools pass (see
+synth.sequential_names); each name's row is the name before the tail of one
+empty-name row from the ingest writer, exact because that writer leaves
+upper-case letters unquoted.  Rows are repeated by label in birth order, so
+no record is built per name or birth, and written a slice at a time.
 """
 
 from __future__ import annotations
@@ -512,15 +514,15 @@ def _cmd_simulate(args) -> int:
         year=args.year,
     )
     names, labels = synth.simulate_labels(config)
-    # each distinct name's row is rendered once and repeated by label, and
-    # the repeats are joined a slice at a time, never into one whole report
-    fields = (config.sex.value, None, config.year, RecordKind.BIRTH_REGISTER.value, None, None)
+    # a simulated name is upper-case letters, which the writer leaves unquoted,
+    # so its row is the name before the tail of an empty-name row; the repeats
+    # are joined a slice at a time, never into one whole report
     buf = io.StringIO()
-    corpus.write_rows(((name, *fields) for name in names), buf)
+    corpus.write_rows([("", config.sex.value, None, config.year,
+                        RecordKind.BIRTH_REGISTER.value, None, None)], buf)
     buf.seek(0)
-    header, *rows = buf  # a StringIO's lines end only at "\n", as the writer's do
-    del buf  # its buffer (about 8 MB at 10^6 births) would outlive the writes
-    repeated = synth.repeat_by_label(rows, labels)
+    header, tail = buf  # a StringIO's lines end only at "\n", as the writer's do
+    repeated = synth.repeat_by_label([name + tail for name in names], labels)
     slices = range(0, len(repeated), _WRITE_SLICE)
     meta_path = None
     if args.out is not None:

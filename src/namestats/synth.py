@@ -20,10 +20,11 @@ founders followed by the births, all numbered in birth order:
    (``parent = parent[parent]`` until it stops changing) reaches every
    individual's root, the founder or innovation whose name it carries.
 4. Roots are numbered in index order, which is order of first
-   appearance: founders first, then innovations in birth order.  Root j
-   is named ``name_alphabet(j)`` (default :func:`sequential_name`), and
-   ``name_alphabet`` is called exactly once per root, for j = 0, 1, ...
-   in that order.
+   appearance: founders first, then innovations in birth order.  By
+   default all roots are named in one pass, root j taking entry j of
+   :func:`sequential_names`, built by ``itertools`` with no Python loop
+   per name.  A custom ``name_alphabet`` names root j ``name_alphabet(j)``
+   and is called exactly once per root, for j = 0, 1, ... in that order.
 
 Streams come from numpy's PCG64 generator, so a config reproduces its
 corpus bit for bit; :func:`simulation_metadata` captures the seed and
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice, product
 from typing import TYPE_CHECKING, Callable
 
 from .corpus import YEAR_MAX, YEAR_MIN, Cohort, CohortSpec, NameRecord, RecordKind
@@ -47,23 +49,21 @@ RNG_ALGORITHM = "numpy-pcg64"
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def sequential_name(index: int) -> str:
-    """Fresh unique name for innovation number ``index``: N + base-26 digits.
+def sequential_names(count: int) -> list[str]:
+    """The default names of roots 0 .. ``count`` - 1: N + base-26 digits.
 
-    Names are valid standardized forms (2-8 upper-case letters) and
-    survive truncation unchanged.
+    Root j's digits (A = 0) are padded with A to at least three: NAAA, ...,
+    NZZZ, NBAAA, ...  Names are valid standardized forms (2-8 upper-case
+    letters) and survive truncation unchanged.
     """
-    digits = []
-    n = index
-    while n:
-        n, rem = divmod(n, 26)
-        digits.append(_LETTERS[rem])
-    while len(digits) < 3:
-        digits.append("A")
-    name = "N" + "".join(reversed(digits))
-    if len(name) > MAX_NAME_LEN:
-        raise ValueError(f"name index {index} exceeds {MAX_NAME_LEN} letters")
-    return name
+    limit = len(_LETTERS) ** (MAX_NAME_LEN - 1)
+    if count > limit:
+        raise ValueError(f"name index {limit} exceeds {MAX_NAME_LEN} letters")
+    widths = [product("N", _LETTERS, _LETTERS, _LETTERS)] + [
+        product("N", _LETTERS[1:], *[_LETTERS] * (width - 1))
+        for width in range(4, MAX_NAME_LEN)
+    ]
+    return list(islice(map("".join, chain.from_iterable(widths)), count))
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,6 @@ def simulate_labels(config: SimulationConfig) -> tuple[list[str], np.ndarray]:
     """
     import numpy as np
 
-    namefn = config.name_alphabet or sequential_name
     rng = np.random.Generator(np.random.PCG64(config.seed))
     innovate = rng.random(config.births) < config.innovation_rate
 
@@ -113,7 +112,11 @@ def simulate_labels(config: SimulationConfig) -> tuple[list[str], np.ndarray]:
         parent = jumped
 
     root_label = np.cumsum(is_root) - 1
-    names = [namefn(j) for j in range(np.count_nonzero(is_root))]
+    roots = int(np.count_nonzero(is_root))
+    if config.name_alphabet is None:
+        names = sequential_names(roots)
+    else:
+        names = [config.name_alphabet(j) for j in range(roots)]
     return names, root_label[parent]
 
 

@@ -319,6 +319,17 @@ class TestConquest:
         assert "C3 must be at least C2" not in err
 
 
+def reference_simulation(config: SimulationConfig) -> io.StringIO:
+    """The record file of the per-birth loop, written record by record."""
+    want = io.StringIO()
+    write_records(
+        (NameRecord(name, config.sex, config.year, RecordKind.BIRTH_REGISTER)
+         for name in simulate_sequence(config)),
+        want,
+    )
+    return want
+
+
 class TestSimulate:
     def test_writes_records_and_metadata(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -359,14 +370,14 @@ class TestSimulate:
          SimulationConfig(1.0, 200, initial_names=2, seed=5)),
         (["--alpha", "0", "--births", "100", "--sim-sex", "M", "--year", "1900"],
          SimulationConfig(0.0, 100, sex=Sex.MALE, year=1900)),
+        # 20,001 names: past the 17,576 with three letters after the N
+        (["--alpha", "1", "--births", "20000"], SimulationConfig(1.0, 20_000)),
+        (["--alpha", "0.2", "--births", "5000", "--seed", "6", "--sim-sex", "M",
+          "--year", "1850", "--initial-names", "40"],
+         SimulationConfig(0.2, 5000, initial_names=40, seed=6, sex=Sex.MALE, year=1850)),
     ])
     def test_bytes_equal_reference(self, tmp_path, capsys, flags, config):
-        want = io.StringIO()
-        write_records(
-            (NameRecord(name, config.sex, config.year, RecordKind.BIRTH_REGISTER)
-             for name in simulate_sequence(config)),
-            want,
-        )
+        want = reference_simulation(config)
         out = tmp_path / "sim.csv"
         assert main(["simulate", *flags, "--out", str(out)]) == 0
         assert out.read_bytes() == want.getvalue().encode("utf-8")
@@ -381,12 +392,7 @@ class TestSimulate:
         """simulate renders its rows from the names, to --out and to stdout,
         without constructing a NameRecord."""
         config = SimulationConfig(0.3, 2000, initial_names=3, seed=9)
-        want = io.StringIO()
-        write_records(
-            (NameRecord(name, config.sex, config.year, RecordKind.BIRTH_REGISTER)
-             for name in simulate_sequence(config)),
-            want,
-        )
+        want = reference_simulation(config)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a NameRecord was built")

@@ -16,9 +16,10 @@ from namestats import (
     top_k,
     truncate_name,
 )
-from namestats.synth import sequential_name, simulate_labels, simulation_metadata
+from namestats import synth
+from namestats.synth import sequential_names, simulate_labels, simulation_metadata
 
-from reference_synth import simulate_sequence
+from reference_synth import sequential_name, simulate_sequence
 
 # regression values observed once with the shipped seed and frozen
 SHIPPED = SimulationConfig(innovation_rate=0.1, births=50_000, initial_names=1, seed=7)
@@ -104,9 +105,52 @@ def test_custom_name_alphabet():
 
 
 def test_sequential_names_unique_and_standard():
-    names = [sequential_name(i) for i in range(30_000)]
+    names = sequential_names(30_000)
+    assert names == [sequential_name(i) for i in range(30_000)]
     assert len(set(names)) == len(names)
     assert all(2 <= len(n) <= 8 and n.isalpha() and n == n.upper() for n in names)
+
+
+def test_sequential_names_across_width_boundary():
+    """The bulk names against the per-index loop on a window around 26**4,
+    the first index that takes six letters (the first 30,000 names cross
+    26**3)."""
+    boundary = 26**4
+    names = sequential_names(boundary + 40)
+    assert len(names) == boundary + 40
+    start = boundary - 40
+    assert names[start:] == [sequential_name(i) for i in range(start, boundary + 40)]
+    assert len(names[boundary]) == len(names[boundary - 1]) + 1
+
+
+@pytest.mark.parametrize("letters", ["AB", "ABC", "ABCDE"])
+def test_sequential_names_whole_space_small_alphabet(monkeypatch, letters):
+    """In a small base the whole name space fits in a test: every width
+    boundary (the analogues of 26**3 .. 26**6; the list at 26**5 alone would
+    hold 11.9 million names) and the last name agree with the per-index
+    loop, and one name more is refused up front."""
+    monkeypatch.setattr(synth, "_LETTERS", letters)
+    limit = len(letters) ** 7
+    names = sequential_names(limit)
+    assert names == [sequential_name(i, letters) for i in range(limit)]
+    assert len(names[-1]) == 8
+    with pytest.raises(ValueError, match=f"name index {limit} exceeds 8 letters"):
+        sequential_name(limit, letters)
+    with pytest.raises(ValueError, match=f"name index {limit} exceeds 8 letters"):
+        sequential_names(limit + 1)
+    for count in (0, 1, 27, limit // 2):
+        assert sequential_names(count) == names[:count]
+
+
+def test_sequential_names_refuse_ninth_letter_up_front(monkeypatch):
+    """Past 26**7 names the ninth letter is refused before any name is built."""
+
+    def refuse(*args):
+        raise AssertionError("names were built")
+
+    monkeypatch.setattr(synth, "product", refuse)
+    with pytest.raises(ValueError, match=f"name index {26**7} exceeds 8 letters"):
+        sequential_names(26**7 + 1)
 
 
 def test_metadata_records_stream_identity():
