@@ -163,8 +163,8 @@ def _cohort_flags(parser: argparse.ArgumentParser) -> None:
     _output_flags(parser)
     _record_flags(parser)
     parser.add_argument("--sex", choices=("F", "M", "both"), default="both")
-    parser.add_argument("--marriage-age", type=int, default=25)
-    parser.add_argument("--adult-age", type=int, default=35)
+    parser.add_argument("--marriage-age", type=int, default=corpus.DEFAULT_AGE_MARRIAGE)
+    parser.add_argument("--adult-age", type=int, default=corpus.DEFAULT_AGE_ADULT)
     parser.add_argument("--threads", type=_positive_int, default=1,
                         help="index --records in up to this many processes")
 
@@ -480,8 +480,7 @@ def _cmd_fit(args) -> int:
         out.write(reports.render_fits([(l, s, f) for l, s, (_, f) in rows], args.format))
         if chart is not None:
             _, _, (ftable, _) = rows[0]
-            series = loglog_series(ftable, min_count=1)
-            chart.write(reports.render_chart_series(series, "csv"))
+            chart.write(reports.render_chart_series(loglog_series(ftable)))
     return EXIT_OK
 
 

@@ -118,14 +118,12 @@ def align(
     list1: PopularityList,
     table1: FrequencyTable | None,
     list2: PopularityList,
-    table2: FrequencyTable | None = None,
 ) -> AlignedPair:
     """Look up year-1 popularities for year 2's top names.
 
     ``table1`` is the full year-1 sample; when only a published year-1
     top-k list exists, pass ``table1=None`` and the fallback baseline
-    becomes the list's smallest entry.  ``table2`` is accepted for
-    symmetry and not consulted: year-2 popularities come from ``list2``.
+    becomes the list's smallest entry.
     """
     if list1.k != list2.k:
         raise ValueError(f"lists must share k, got {list1.k} and {list2.k}")
@@ -256,10 +254,9 @@ def comm_all(
     from elsewhere.
     """
     table1 = frequency_table(cohort1)
-    table2 = frequency_table(cohort2)
     list1 = top_k(table1, k)
-    list2 = top_k(table2, k)
-    pair = align(list1, table1, list2, table2)
+    list2 = top_k(frequency_table(cohort2), k)
+    pair = align(list1, table1, list2)
     if t11_override is not None:
         pair = replace(pair, t11=t11_override)
     return comm_from_pair(pair, new_names(list1, list2), years_elapsed)

@@ -61,6 +61,8 @@ YEAR_MIN, YEAR_MAX = 1000, 2100
 AGE_MIN, AGE_MAX = 0, 110
 
 DEFAULT_GENERIC_NAMES = frozenset({"MR", "MRS", "WIDOW", "INFANT"})
+# assumed ages of the people on marriage records and adult rosters with no age
+DEFAULT_AGE_MARRIAGE, DEFAULT_AGE_ADULT = 25, 35
 
 
 class ParseError(ValueError):
@@ -138,15 +140,16 @@ class FilterPolicy:
 class CohortSpec:
     """A sex and an inclusive birth-year span, plus age defaults.
 
-    Records without an age field get an assumed age: 25 years for
-    marriage records and 35 years for adult rosters.
+    Records without an age field get an assumed age, by default
+    ``DEFAULT_AGE_MARRIAGE`` for marriage records and ``DEFAULT_AGE_ADULT``
+    for adult rosters.
     """
 
     sex: Sex
     birth_year_start: int
     birth_year_end: int
-    default_age_marriage: int = 25
-    default_age_adult: int = 35
+    default_age_marriage: int = DEFAULT_AGE_MARRIAGE
+    default_age_adult: int = DEFAULT_AGE_ADULT
 
     def __post_init__(self) -> None:
         if self.birth_year_start > self.birth_year_end:
@@ -535,26 +538,27 @@ class RecordScan:
 def _birth_year(
     year: int,
     age: int | None,
-    kind: RecordKind,
+    kind: str,
     default_age_marriage: int,
     default_age_adult: int,
 ) -> int | None:
-    """Birth year of a record from ``year``: by its age, or else by its kind's
-    default age; None when it has no age and no default applies."""
+    """Birth year of a record from ``year``: by its age, or else by the default
+    age of its kind (a :class:`RecordKind` value text); None when it has no age
+    and no default applies."""
     if age is not None:
         return year - age
-    if kind is RecordKind.BIRTH_REGISTER:
+    if kind == "birth_register":
         return year
-    if kind is RecordKind.MARRIAGE:
+    if kind == "marriage":
         return year - default_age_marriage
-    if kind is RecordKind.ADULT_ROSTER:
+    if kind == "adult_roster":
         return year - default_age_adult
     return None
 
 
 def assign_birth_year(record: NameRecord, spec: CohortSpec) -> int:
     """Birth year from the age field, or from the record kind's default age."""
-    birth_year = _birth_year(record.record_year, record.age, record.record_kind,
+    birth_year = _birth_year(record.record_year, record.age, record.record_kind.value,
                              spec.default_age_marriage, spec.default_age_adult)
     if birth_year is None:
         raise AgeUnresolvableError(
@@ -611,10 +615,9 @@ class CohortIndex:
         self, kept: Iterable[Sequence], default_age_marriage: int, default_age_adult: int
     ):
         self.default_ages = (default_age_marriage, default_age_adult)
-        kinds = {kind.value: kind for kind in RecordKind}
         buckets: dict[tuple[int, str], dict[str, int]] = {}
         for name, sex, age, year, kind, _, _ in kept:
-            birth_year = _birth_year(year, age, kinds[kind], default_age_marriage,
+            birth_year = _birth_year(year, age, kind, default_age_marriage,
                                      default_age_adult)
             if birth_year is None:
                 continue

@@ -111,7 +111,6 @@ class PopularitySummary:
     info_is: float
     sample_size: float
     k: int = 10
-    new_topk: float | None = None
     spec: CohortSpec | None = None
 
     def __post_init__(self) -> None:
@@ -131,9 +130,7 @@ class PopularitySummary:
             top_name=largest.top_name,
             k=first.k,
             spec=first.spec,
-            **field_means(
-                summaries, ("top_pop", "topk_pop", "info_is", "sample_size", "new_topk")
-            ),
+            **field_means(summaries, ("top_pop", "topk_pop", "info_is", "sample_size")),
         )
 
 
@@ -232,8 +229,8 @@ def average_summaries(summaries: Sequence):
 
     Inputs must be of one type with a ``mean`` classmethod, such as
     :class:`PopularitySummary` or ``commstats.CommResult``, and agree on
-    k; each type's ``mean`` applies its own rules.  Counts such as
-    new_topk may become fractional.
+    k; each type's ``mean`` applies its own rules.  A comm result's
+    new_topk count may become fractional.
     """
     if len(summaries) < 2:
         raise ValueError("need at least two summaries to average")

@@ -126,14 +126,11 @@ def fit_rank_frequency(table: FrequencyTable, min_count: int = 5) -> PowerLawFit
     return fit_ranked_frequencies(qualifying, min_count=min_count)
 
 
-def loglog_series(
-    table: FrequencyTable, min_count: int = 1
-) -> list[tuple[float, float]]:
+def loglog_series(table: FrequencyTable) -> list[tuple[float, float]]:
     """Chart-ready (log2 rank, log2 count) pairs in rank order."""
     return [
         (math.log2(rank), math.log2(count))
         for rank, (_, count) in enumerate(ranked(table.counts), start=1)
-        if count >= min_count
     ]
 
 

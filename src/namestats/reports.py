@@ -160,6 +160,6 @@ def render_conquest(label: str, result: CommResult, fmt: str = "csv") -> str:
     return _emit(CONQUEST_HEADER, body, fmt)
 
 
-def render_chart_series(series: Sequence[tuple[float, float]], fmt: str = "csv") -> str:
+def render_chart_series(series: Sequence[tuple[float, float]]) -> str:
     body = [[f"{x:.6f}", f"{y:.6f}"] for x, y in series]
-    return _emit(CHART_HEADER, body, fmt)
+    return _emit(CHART_HEADER, body, "csv")

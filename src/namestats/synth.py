@@ -20,11 +20,10 @@ founders followed by the births, all numbered in birth order:
    (``parent = parent[parent]`` until it stops changing) reaches every
    individual's root, the founder or innovation whose name it carries.
 4. Roots are numbered in index order, which is order of first
-   appearance: founders first, then innovations in birth order.  By
-   default all roots are named in one pass, root j taking entry j of
+   appearance: founders first, then innovations in birth order.  All
+   roots are named in one pass, root j taking entry j of
    :func:`sequential_names`, built by ``itertools`` with no Python loop
-   per name.  A custom ``name_alphabet`` names root j ``name_alphabet(j)``
-   and is called exactly once per root, for j = 0, 1, ... in that order.
+   per name, so no two roots share a name.
 
 Streams come from numpy's PCG64 generator, so a config reproduces its
 corpus bit for bit; :func:`simulation_metadata` captures the seed and
@@ -36,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, product
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .corpus import YEAR_MAX, YEAR_MIN, Cohort, CohortSpec, NameRecord, RecordKind
 from .standardize import MAX_NAME_LEN, Sex
@@ -74,7 +73,6 @@ class SimulationConfig:
     seed: int = 0
     sex: Sex = Sex.FEMALE
     year: int = 2000
-    name_alphabet: Callable[[int], str] | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.innovation_rate <= 1:
@@ -112,11 +110,7 @@ def simulate_labels(config: SimulationConfig) -> tuple[list[str], np.ndarray]:
         parent = jumped
 
     root_label = np.cumsum(is_root) - 1
-    roots = int(np.count_nonzero(is_root))
-    if config.name_alphabet is None:
-        names = sequential_names(roots)
-    else:
-        names = [config.name_alphabet(j) for j in range(roots)]
+    names = sequential_names(int(np.count_nonzero(is_root)))
     return names, root_label[parent]
 
 
@@ -132,9 +126,7 @@ def simulate_naming(config: SimulationConfig) -> Cohort:
     import numpy as np
 
     names, labels = simulate_labels(config)
-    counts: Counter[str] = Counter()
-    for name, n in zip(names, np.bincount(labels).tolist()):
-        counts[name] += n
+    counts = Counter(dict(zip(names, np.bincount(labels).tolist())))
     spec = CohortSpec(config.sex, config.year, config.year)
     return Cohort(spec, counts)
 

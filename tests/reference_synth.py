@@ -3,8 +3,7 @@
 ``simulate_sequence`` is the per-birth loop that ``synth.simulate_labels``
 replaced: one scalar ``rng.integers`` call per copying birth, in birth
 order.  The property tests in ``test_synth.py`` require the vectorized
-pass to give the same name for every individual, and to call
-``name_alphabet`` with the same indices in the same order.
+pass to give the same name for every individual.
 
 ``sequential_name`` is the per-index ``divmod`` loop that
 ``synth.sequential_names`` replaced; the tests require the bulk pass to
@@ -39,15 +38,14 @@ def sequential_name(index: int, letters: str = LETTERS) -> str:
 
 def simulate_sequence(config: SimulationConfig) -> list[str]:
     """Every individual's name, founders first, then births in order."""
-    namefn = config.name_alphabet or sequential_name
     rng = np.random.Generator(np.random.PCG64(config.seed))
     innovate = rng.random(config.births) < config.innovation_rate
 
-    history = [namefn(i) for i in range(config.initial_names)]
+    history = [sequential_name(i) for i in range(config.initial_names)]
     next_index = config.initial_names
     for t in range(config.births):
         if innovate[t]:
-            name = namefn(next_index)
+            name = sequential_name(next_index)
             next_index += 1
         else:
             name = history[int(rng.integers(0, len(history)))]

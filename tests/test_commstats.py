@@ -28,7 +28,7 @@ def pair_from_counts(counts1: dict, counts2: dict, k: int):
     t1 = frequency_table(make_cohort(counts1))
     t2 = frequency_table(make_cohort(counts2))
     l1, l2 = top_k(t1, k), top_k(t2, k)
-    return align(l1, t1, l2, t2), l1, l2
+    return align(l1, t1, l2), l1, l2
 
 
 class TestAlign:
@@ -55,7 +55,7 @@ class TestAlign:
         t1 = frequency_table(make_cohort(counts1))
         t2 = frequency_table(make_cohort(counts2))
         l1, l2 = top_k(t1, 3), top_k(t2, 3)
-        pair = align(l1, None, l2, t2)
+        pair = align(l1, None, l2)
         idx = pair.names.index("XX")
         assert pair.p1[idx] == pytest.approx(0.1, abs=1e-15)  # half of CC's 0.2
         assert pair.fallback_baseline == "list"
@@ -78,13 +78,13 @@ class TestAlign:
         l2 = top_k(t2, 2)
         t1 = frequency_table(make_cohort({}))
         with pytest.raises(ValueError, match="empty"):
-            align(l2, t1, l2, t2)
+            align(l2, t1, l2)
 
     def test_mismatched_k_rejected(self):
         t1 = frequency_table(make_cohort({"AA": 2, "BB": 1}))
         t2 = frequency_table(make_cohort({"AA": 2, "BB": 1, "CC": 1}))
         with pytest.raises(ValueError, match="share k"):
-            align(top_k(t1, 2), t1, top_k(t2, 3), t2)
+            align(top_k(t1, 2), t1, top_k(t2, 3))
 
 
 def toy_pair(p1, p2, t11=None, **kwargs):
@@ -235,7 +235,7 @@ class TestCommAll:
         k = 3
         t1, t2 = frequency_table(cohort1), frequency_table(cohort2)
         l1, l2 = top_k(t1, k), top_k(t2, k)
-        pair = align(l1, t1, l2, t2)
+        pair = align(l1, t1, l2)
         result = comm_all(cohort1, cohort2, k, years_elapsed=50)
         assert result.c1 == pytest.approx(comm_c1(pair), abs=1e-15)
         assert result.c2 == pytest.approx(comm_c2(pair), abs=1e-15)

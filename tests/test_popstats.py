@@ -191,10 +191,10 @@ class TestSamplingVariability:
             sampling_variability(0.1, 0)
 
 
-def summary(info, sample=100, top=0.2, topk=0.5, spec=None, new=None):
+def summary(info, sample=100, top=0.2, topk=0.5, spec=None):
     return PopularitySummary(
         top_name="MARY", top_pop=top, topk_pop=topk, info_is=info,
-        sample_size=sample, k=10, new_topk=new, spec=spec,
+        sample_size=sample, k=10, spec=spec,
     )
 
 
@@ -202,10 +202,6 @@ class TestAverageSummaries:
     def test_mean_info(self):
         avg = average_summaries([summary(0.2), summary(0.3)])
         assert avg.info_is == pytest.approx(0.25, abs=1e-15)
-
-    def test_fractional_new_counts(self):
-        avg = average_summaries([summary(0.2, new=1), summary(0.3, new=2)])
-        assert avg.new_topk == pytest.approx(1.5)
 
     def test_identity(self):
         s = summary(0.2)

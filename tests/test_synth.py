@@ -1,3 +1,4 @@
+import dataclasses
 import statistics
 from collections import Counter
 
@@ -95,15 +96,6 @@ def test_records_flow_through_pipeline():
         assert truncate_name(record.raw_name) == record.raw_name
 
 
-def test_custom_name_alphabet():
-    config = SimulationConfig(
-        innovation_rate=1.0, births=5, seed=0,
-        name_alphabet=lambda i: f"XX{chr(65 + i)}",
-    )
-    cohort = simulate_naming(config)
-    assert set(cohort.names) == {"XXA", "XXB", "XXC", "XXD", "XXE", "XXF"}
-
-
 def test_sequential_names_unique_and_standard():
     names = sequential_names(30_000)
     assert names == [sequential_name(i) for i in range(30_000)]
@@ -158,6 +150,7 @@ def test_metadata_records_stream_identity():
     assert meta["rng"] == "numpy-pcg64"
     assert meta["seed"] == 7
     assert meta["births"] == 50_000
+    assert {f.name for f in dataclasses.fields(SimulationConfig)} <= meta.keys()
 
 
 def test_config_validation():
@@ -172,22 +165,6 @@ def test_config_validation():
             SimulationConfig(innovation_rate=0.5, births=10, year=year)
 
 
-def recording(kind: str | None, log: list[int]):
-    """A name_alphabet that logs each index it is called with, or None.
-
-    "distinct" names index i as sequential_name does; "colliding" gives
-    only seven names, so several roots share one.
-    """
-    if kind is None:
-        return None
-
-    def namefn(i: int) -> str:
-        log.append(i)
-        return sequential_name(i) if kind == "distinct" else "Q" + "ABCDEFG"[i % 7]
-
-    return namefn
-
-
 def reference_records(config: SimulationConfig, names: list[str]) -> list[NameRecord]:
     return [
         NameRecord(name, config.sex, config.year, RecordKind.BIRTH_REGISTER)
@@ -195,31 +172,17 @@ def reference_records(config: SimulationConfig, names: list[str]) -> list[NameRe
     ]
 
 
-def assert_matches_loop(alpha, births, founders, seed, alphabet=None):
+def assert_matches_loop(alpha, births, founders, seed):
     """The vectorized simulator against the per-birth reference loop: the
-    same name for every individual, the same counts in the same key order,
-    the same records and the same name_alphabet calls."""
+    same name for every individual, the same counts in the same key order
+    and the same records."""
+    config = SimulationConfig(alpha, births, founders, seed)
+    want = simulate_sequence(config)
 
-    def config(log):
-        return SimulationConfig(alpha, births, founders, seed,
-                                name_alphabet=recording(alphabet, log))
-
-    want_log: list[int] = []
-    want = simulate_sequence(config(want_log))
-
-    log: list[int] = []
-    names, labels = simulate_labels(config(log))
+    names, labels = simulate_labels(config)
     assert [names[j] for j in labels.tolist()] == want
-    assert log == want_log
-
-    log = []
-    counts = simulate_naming(config(log)).names
-    assert list(counts.items()) == list(Counter(want).items())
-    assert log == want_log
-
-    log = []
-    assert simulate_records(config(log)) == reference_records(config(None), want)
-    assert log == want_log
+    assert list(simulate_naming(config).names.items()) == list(Counter(want).items())
+    assert simulate_records(config) == reference_records(config, want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -228,10 +191,9 @@ def assert_matches_loop(alpha, births, founders, seed, alphabet=None):
     births=st.integers(1, 5000),
     founders=st.integers(1, 6),
     seed=st.integers(0, 2**64 - 1),
-    alphabet=st.sampled_from([None, "distinct", "colliding"]),
 )
-def test_vectorized_matches_reference_loop(alpha, births, founders, seed, alphabet):
-    assert_matches_loop(alpha, births, founders, seed, alphabet)
+def test_vectorized_matches_reference_loop(alpha, births, founders, seed):
+    assert_matches_loop(alpha, births, founders, seed)
 
 
 @pytest.mark.parametrize(
