@@ -24,10 +24,16 @@ is any file when a range fails, so errors are those of --threads 1.
 
 ingest, stats, comm and fit read the record file in one streaming pass
 that decodes each distinct field text once and each kept row by table
-lookups (see corpus.RecordScan).  ingest writes each kept row to --out as
-the pass reaches it and keeps only the rejects; the others count each row
-into a birth-year cohort index, so memory grows with distinct names times
-birth years, not with rows, and every cohort is then read from the index.
+lookups (see corpus.RecordScan).  Each counts the rejects by reason, and
+only ingest --rejects keeps the rejected rows.  ingest writes each kept row
+to --out as the pass reaches it; the others count each row into a
+birth-year cohort index, so memory grows with distinct names times birth
+years, not with rows or rejects, and every cohort is then read from the
+index.  A run with rejects notes on stderr "note: rejected P rows at
+parse, F at filter" and then "note: rejects by reason: REASON=N ...", each
+reason's count, sorted by reason name.  stats, comm and fit also note the
+census and other rows with no age, which no cohort counts: "note: N kept
+rows have no age and no default age for their kind; no cohort counts them".
 Reports are written in (cohort span, sex) order and are byte-identical
 across runs.  All output files are opened before the first report byte is
 written; ingest and fit open them before reading --records.  Each is
@@ -56,6 +62,7 @@ import json
 import os
 import stat
 import sys
+from collections import Counter
 from contextlib import contextmanager, suppress
 from itertools import chain
 from pathlib import Path
@@ -271,36 +278,48 @@ def _policy_and_table(args) -> tuple[FilterPolicy, CodingTable]:
     return policy, _load_table(args)
 
 
-def _note_rejects(parse_rejects: int, filter_rejects: int) -> None:
+def _note_rejects(parse_reasons: Counter, filter_reasons: Counter,
+                  unresolved: int = 0) -> None:
+    """Note on stderr the parse and filter reject totals and each reason's
+    count, when there are rejects, and the kept rows with no birth year."""
+    parse_rejects = sum(parse_reasons.values())
+    filter_rejects = sum(filter_reasons.values())
     if parse_rejects or filter_rejects:
         print(f"note: rejected {parse_rejects} rows at parse, {filter_rejects} at filter",
               file=sys.stderr)
+        counts = sorted((parse_reasons + filter_reasons).items())
+        print("note: rejects by reason: " + " ".join(f"{r}={n}" for r, n in counts),
+              file=sys.stderr)
+    if unresolved:
+        print(f"note: {unresolved} kept rows have no age and no default age for their "
+              "kind; no cohort counts them", file=sys.stderr)
 
 
 @contextmanager
 def _scan_records(args):
     """A :class:`corpus.RecordScan` of --records under --coding-table and the
-    filter flags, for the body to consume; notes the reject counts after it."""
+    filter flags, keeping the reject rows only for --rejects, for the body to
+    consume; notes the reject counts after it."""
     policy, table = _policy_and_table(args)
     with _open_input(args.records) as fh:
-        scan = corpus.RecordScan(fh, policy, table)
+        scan = corpus.RecordScan(fh, policy, table, keep_rejects=args.rejects is not None)
         yield scan
-    _note_rejects(len(scan.parse_rejected), len(scan.filter_rejected))
+    _note_rejects(scan.parse_reasons, scan.filter_reasons)
 
 
 def _index_records(args) -> corpus.CohortIndex:
     """The cohort index of --records under --coding-table, the filter flags
     and the default ages, built by up to --threads processes; notes the
-    reject counts."""
+    reject counts and the rows with no birth year."""
     policy, table = _policy_and_table(args)
     ages = (args.marriage_age, args.adult_age)
     try:
-        index, parse_rejects, filter_rejects = corpus.index_records(
+        index, parse_reasons, filter_reasons = corpus.index_records(
             args.records, policy, table, ages, args.threads
         )
     except OSError as exc:
         raise CliError(f"cannot read {args.records}: {exc}", EXIT_PARSE) from exc
-    _note_rejects(parse_rejects, filter_rejects)
+    _note_rejects(parse_reasons, filter_reasons, index.unresolved)
     return index
 
 

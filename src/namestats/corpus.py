@@ -15,16 +15,18 @@ distinct raw text of the other columns only once, into per-column memo
 dicts filled by the same per-field parsers and filter rules, so that a
 kept row costs a few dict lookups and builds no :class:`NameRecord`; a
 rejected row goes through :func:`_parse_fields` and :func:`filter_reason`,
-which name its reason.
+which name its reason.  The scan counts rejects by reason, and keeps the
+rejected rows themselves only when asked to (the ingest rejection report).
 :class:`CohortIndex` counts the kept rows by (birth year, corrected sex,
-standardized name) in the same pass.  Every cohort for the index's default
-ages is then a sum over year buckets, so memory grows with distinct names
-times birth years, not with rows.  :func:`index_records` builds a
-record file's CohortIndex, splitting a large file into byte ranges at line
-ends and indexing the ranges in forked child processes when asked for more
-than one worker.  :func:`parse_records` and :func:`filter_records` are list
-forms of :func:`iter_records` and :func:`filter_reason`, and
-:func:`build_cohort` is a one-spec CohortIndex.
+standardized name) in the same pass, and counts the rows with no birth
+year.  Every cohort for the index's default ages is then a sum over year
+buckets, so memory grows with distinct names times birth years, not with
+rows or rejects.  :func:`index_records` builds a record file's
+CohortIndex with its reject counts by reason, splitting a large file into
+byte ranges at line ends and indexing the ranges in forked child processes
+when asked for more than one worker.  :func:`parse_records` and
+:func:`filter_records` are list forms of :func:`iter_records` and
+:func:`filter_reason`, and :func:`build_cohort` is a one-spec CohortIndex.
 """
 
 from __future__ import annotations
@@ -405,18 +407,6 @@ def filter_records(
     return FilterResult(kept, rejected)
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``decode(key)`` on first lookup."""
-
-    def __init__(self, decode: Callable[[str], object]):
-        super().__init__()
-        self._decode = decode
-
-    def __missing__(self, key):
-        value = self[key] = self._decode(key)
-        return value
-
-
 _NATIVE_TEXT = {None: "", True: "true", False: "false"}
 
 
@@ -465,53 +455,68 @@ class RecordScan:
     record row: a tuple in ``RECORD_HEADER`` order of the standardized name,
     the sex code after coding-table correction, the age (an int, or None
     when absent), the year (an int), and the kind, location and
-    native-born texts as :func:`record_to_row` writes them.  Rejected rows
-    collect in ``parse_rejected`` and ``filter_rejected`` as the pass
-    reaches them, each in input order, as :func:`parse_records` and
-    :func:`filter_records` would reject them.  The header is read, and
-    :class:`ParseError` raised, on construction.  The rows can be iterated
-    once.
+    native-born texts as :func:`record_to_row` writes them.  Every rejected
+    row is counted by its reason, in ``parse_reasons`` or ``filter_reasons``
+    (Counters), as :func:`parse_records` and :func:`filter_records` would
+    reject it.  With ``keep_rejects`` the rows themselves also collect in
+    ``parse_rejected`` and ``filter_rejected``, each in input order as the
+    pass reaches them; without it those lists stay empty, so memory does not
+    grow with the rejects.  The header is read, and :class:`ParseError`
+    raised, on construction.  The rows can be iterated once.
 
     Field texts repeat heavily, so each column but location is decoded
-    through ``memos[column]``, a dict filled by :func:`_field_decoders` the
-    first time a key is seen.  The name's memo is keyed by the name's
-    leading letters, so it holds one entry per distinct truncated name; the
-    others are keyed by the raw (unstripped) field text.  A row with any
-    field that decodes to a reject, or whose corrected sex is still unknown,
-    goes once through :func:`_parse_fields` and :func:`filter_reason`,
-    which give its exact reason.
+    through ``memos[column]``, a plain dict that :func:`_field_decoders`
+    fills for every column of a row in which one lookup misses.  The name's
+    memo is keyed by the name's leading letters, so it holds one entry per
+    distinct truncated name; the others are keyed by the raw (unstripped)
+    field text.  A row with any field that decodes to a reject, or whose
+    corrected sex is still unknown, goes once through :func:`_parse_fields`
+    and :func:`filter_reason`, which give its exact reason.
     """
 
-    def __init__(self, stream: IO[str], policy: FilterPolicy, table: CodingTable):
+    def __init__(
+        self, stream: IO[str], policy: FilterPolicy, table: CodingTable, *,
+        keep_rejects: bool,
+    ):
         self._reader, self._columns, self._width = _read_header(stream)
         self._policy = policy
         self._table = table
-        self.memos = {
-            col: _Memo(decode) for col, decode in _field_decoders(policy, table).items()
-        }
+        self._keep_rejects = keep_rejects
+        decoders = _field_decoders(policy, table)
+        self.memos: dict[str, dict] = {col: {} for col in decoders}
+        # (memo, decoder) in the order of the keys _decode_row takes
+        self._decoders = [(self.memos[col], decoders[col])
+                          for col in RECORD_HEADER if col != "location"]
+        self.parse_reasons: Counter = Counter()
+        self.filter_reasons: Counter = Counter()
         self.parse_rejected: list[RejectedRow] = []
         self.filter_rejected: list[tuple[NameRecord, str]] = []
 
     def __iter__(self) -> Iterator[tuple]:
-        names, sexes, ages, years, kinds, natives = (
-            self.memos[col] for col in RECORD_HEADER if col != "location"
-        )
+        names, sexes, ages, years, kinds, natives = (memo for memo, _ in self._decoders)
         fields = itemgetter(*self._columns)
         width = self._width
         with _csv_errors(self._reader):
             for row in self._reader:
                 if len(row) != width:
                     if row:  # a blank line is skipped, not rejected
-                        self.parse_rejected.append(_malformed(row, self._columns, width))
+                        self.parse_reasons["malformed_row"] += 1
+                        if self._keep_rejects:
+                            self.parse_rejected.append(
+                                _malformed(row, self._columns, width))
                     continue
                 row.append("")
                 raw = fields(row)
-                coded = names[leading_letters(raw[0])]
-                sex = sexes[raw[1]]
-                age = ages[raw[2]]
-                year = years[raw[3]]
-                kind = kinds[raw[4]]
-                native = natives[raw[6]]
+                letters = leading_letters(raw[0])
+                try:
+                    coded = names[letters]
+                    sex = sexes[raw[1]]
+                    age = ages[raw[2]]
+                    year = years[raw[3]]
+                    kind = kinds[raw[4]]
+                    native = natives[raw[6]]
+                except KeyError:
+                    coded, sex, age, year, kind, native = self._decode_row(letters, raw)
                 if coded is not _BAD and sex is not _BAD:
                     name, override = coded
                     sex = override or sex
@@ -521,18 +526,34 @@ class RecordScan:
                     continue
                 yield name, sex, age, year, kind, raw[5].strip(), native
 
+    def _decode_row(self, letters: str, raw: tuple[str, ...]) -> list:
+        """The memo values of a row with truncated name ``letters`` and raw
+        field texts ``raw``, decoding and storing each one its memo lacks."""
+        values = []
+        keys = (letters, raw[1], raw[2], raw[3], raw[4], raw[6])
+        for (memo, decode), key in zip(self._decoders, keys):
+            if key not in memo:
+                memo[key] = decode(key)
+            values.append(memo[key])
+        return values
+
     def _reject(self, fields: list[str]) -> None:
-        """Record the reject reason of a row with stripped ``fields``."""
+        """Count, and with ``keep_rejects`` keep, the reject reason of a row
+        with stripped ``fields``."""
         parsed = _parse_fields(fields)
         if isinstance(parsed, str):
-            self.parse_rejected.append(RejectedRow(dict(zip(RECORD_HEADER, fields)),
-                                                   parsed))
+            self.parse_reasons[parsed] += 1
+            if self._keep_rejects:
+                self.parse_rejected.append(
+                    RejectedRow(dict(zip(RECORD_HEADER, fields)), parsed))
             return
         reason = filter_reason(parsed, leading_letters(parsed.raw_name), self._policy,
                                self._table)
         if reason is None:
             raise RuntimeError(f"row {fields} decodes to a reject but is kept")
-        self.filter_rejected.append((parsed, reason))
+        self.filter_reasons[reason] += 1
+        if self._keep_rejects:
+            self.filter_rejected.append((parsed, reason))
 
 
 def _birth_year(
@@ -607,23 +628,36 @@ class CohortIndex:
     Built in one pass over the kept rows, as :class:`RecordScan` yields
     them, for one pair of default ages.  A cohort whose spec has those
     defaults is then a sum over the year buckets in its span.  Rows whose
-    birth year cannot be resolved are not counted.  Buckets are keyed by
-    (birth year, sex code), so counting a row hashes no enum.
+    birth year cannot be resolved (no age, and kind census or other) are not
+    counted into any bucket; ``unresolved`` is their number.  Buckets are
+    keyed by (birth year, sex code), so counting a row hashes no enum.
     """
 
     def __init__(
         self, kept: Iterable[Sequence], default_age_marriage: int, default_age_adult: int
     ):
         self.default_ages = (default_age_marriage, default_age_adult)
+        # the birth year of an age-less row of each kind, less its year
+        offsets = {kind.value: _birth_year(0, None, kind.value, *self.default_ages)
+                   for kind in RecordKind}
         buckets: dict[tuple[int, str], dict[str, int]] = {}
+        unresolved = 0
         for name, sex, age, year, kind, _, _ in kept:
-            birth_year = _birth_year(year, age, kind, default_age_marriage,
-                                     default_age_adult)
-            if birth_year is None:
-                continue
-            bucket = buckets.setdefault((birth_year, sex), {})
+            if age is None:
+                offset = offsets[kind]
+                if offset is None:
+                    unresolved += 1
+                    continue
+                key = (year + offset, sex)
+            else:
+                key = (year - age, sex)
+            try:
+                bucket = buckets[key]
+            except KeyError:
+                bucket = buckets[key] = {}
             bucket[name] = bucket.get(name, 0) + 1
         self._buckets = buckets
+        self.unresolved = unresolved
 
     def cohort(self, spec: CohortSpec) -> Cohort:
         """The cohort for ``spec``; its default ages must be the index's."""
@@ -650,6 +684,7 @@ class CohortIndex:
             bucket = self._buckets.setdefault(key, {})
             for name, count in counts.items():
                 bucket[name] = bucket.get(name, 0) + count
+        self.unresolved += other.unresolved
 
 
 # a --records file is split into ranges of at least this many bytes
@@ -751,12 +786,12 @@ def text_input(raw: io.RawIOBase) -> io.TextIOWrapper:
 
 def _index_raw(
     raw: io.RawIOBase, policy: FilterPolicy, table: CodingTable, ages: tuple[int, int]
-) -> tuple[CohortIndex, int, int]:
+) -> tuple[CohortIndex, Counter, Counter]:
     """The :class:`CohortIndex` of a raw record stream's kept rows, and its
-    parse and filter reject counts."""
-    scan = RecordScan(text_input(raw), policy, table)
+    parse and filter reject counts by reason."""
+    scan = RecordScan(text_input(raw), policy, table, keep_rejects=False)
     index = CohortIndex(scan, *ages)
-    return index, len(scan.parse_rejected), len(scan.filter_rejected)
+    return index, scan.parse_reasons, scan.filter_reasons
 
 
 def _index_ranges(
@@ -765,7 +800,7 @@ def _index_ranges(
     policy: FilterPolicy,
     table: CodingTable,
     ages: tuple[int, int],
-) -> tuple[CohortIndex, int, int] | None:
+) -> tuple[CohortIndex, Counter, Counter] | None:
     """:func:`_index_raw` summed over the file's ranges, or None when any fails.
 
     Range i is ``bounds[i]`` to ``bounds[i + 1]``, and each after the first
@@ -780,7 +815,7 @@ def _index_ranges(
 
     header = (0, _line_end(fd, 0, bounds[-1]))
 
-    def index_range(i: int) -> tuple[CohortIndex, int, int]:
+    def index_range(i: int) -> tuple[CohortIndex, Counter, Counter]:
         span = (bounds[i], bounds[i + 1])
         return _index_raw(_Spans(fd, [span] if i == 0 else [header, span]),
                           policy, table, ages)
@@ -806,7 +841,7 @@ def _index_ranges(
             finally:
                 os.close(w)
             pids.append(pid)
-        index, parse_rejects, filter_rejects = index_range(0)
+        index, parse_reasons, filter_reasons = index_range(0)
         sent = [pipe.read() for pipe in pipes]
         while pids:
             _, status = os.waitpid(pids[-1], 0)
@@ -814,11 +849,11 @@ def _index_ranges(
             if status:  # its range failed, or it was killed
                 return None
         for data in sent:
-            part, n_parse, n_filter = pickle.loads(data)
+            part, part_parse, part_filter = pickle.loads(data)
             index.merge(part)
-            parse_rejects += n_parse
-            filter_rejects += n_filter
-        return index, parse_rejects, filter_rejects
+            parse_reasons.update(part_parse)
+            filter_reasons.update(part_filter)
+        return index, parse_reasons, filter_reasons
     except (ValueError, OSError):
         # a bad header or byte, a field over the csv limit, or no fork: the
         # one pass that follows raises what it raises, as --threads 1 would
@@ -837,10 +872,11 @@ def index_records(
     table: CodingTable,
     ages: tuple[int, int],
     workers: int = 1,
-) -> tuple[CohortIndex, int, int]:
+) -> tuple[CohortIndex, Counter, Counter]:
     """The :class:`CohortIndex` of the kept rows of the record file at
     ``path`` for default ages ``ages`` (marriage, adult), with its parse and
-    filter reject counts.
+    filter reject counts by reason, as :class:`Counter` objects.  No reject
+    row is kept.
 
     With ``workers`` above 1, a large regular file whose every line is one
     record (no quote, no lone CR) is split at line ends into up to

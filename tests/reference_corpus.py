@@ -201,18 +201,21 @@ def cohort_buckets(
     kept: Iterable[tuple[NameRecord, str, Sex]],
     default_age_marriage: int,
     default_age_adult: int,
-) -> dict[tuple[int, Sex], dict[str, int]]:
-    """Standardized-name counts by (birth year, corrected sex)."""
+) -> tuple[dict[tuple[int, Sex], dict[str, int]], int]:
+    """Standardized-name counts by (birth year, corrected sex), and the
+    number of records whose birth year cannot be assigned."""
     buckets: dict[tuple[int, Sex], dict[str, int]] = {}
+    unresolved = 0
     for record, name, sex in kept:
         spec = CohortSpec(sex, 0, 0, default_age_marriage, default_age_adult)
         try:
             birth_year = assign_birth_year(record, spec)
         except AgeUnresolvableError:
+            unresolved += 1
             continue
         bucket = buckets.setdefault((birth_year, sex), {})
         bucket[name] = bucket.get(name, 0) + 1
-    return buckets
+    return buckets, unresolved
 
 
 def ingest(text: str, policy: FilterPolicy, table: CodingTable) -> tuple[str, str]:

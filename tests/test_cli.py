@@ -470,6 +470,53 @@ class TestIngest:
         assert reasons == ["bad_age", "generic", "single_letter"]
 
 
+class TestNotes:
+    """The stderr notes: reject totals, each reason's count, and the kept
+    rows that no cohort counts."""
+
+    EXTRA = ["Mary,X,5,1880,census,,", "Mary,F,x,1880,census,,", "Mary,F,5",
+             "Mrs,F,40,1880,census,,", "J,F,40,1880,census,,", "J,F,40,1880,census,,",
+             "Mary,F,,1880,census,,", "Ann,F,,1880,other,,", "Ann,F,,1880,marriage,,"]
+    REJECTS = ("note: rejected 3 rows at parse, 3 at filter\n"
+               "note: rejects by reason: bad_age=1 bad_sex=1 generic=1 malformed_row=1 "
+               "single_letter=2\n")
+
+    @pytest.fixture
+    def records(self, mini_corpus):
+        mini_corpus.write_text(mini_corpus.read_text(encoding="utf-8")
+                               + "".join(row + "\n" for row in self.EXTRA),
+                               encoding="utf-8")
+        return mini_corpus
+
+    @pytest.mark.parametrize("command, flags", [
+        ("stats", ["--span", "1870:1879"]),
+        ("stats", ["--span", "1870:1879", "--threads", "2"]),
+        ("comm", ["--span1", "1870:1879", "--span2", "1880:1889"]),
+        ("fit", ["--span", "1870:1879", "--min-count", "1"]),
+    ])
+    def test_index_commands(self, records, tmp_path, capsys, command, flags):
+        argv = [command, "--records", str(records), "--coding-table", DEMO_TABLE,
+                "--sex", "F", *flags]
+        assert run(argv, tmp_path)[0] == 0
+        assert capsys.readouterr().err == self.REJECTS + (
+            "note: 2 kept rows have no age and no default age for their kind; "
+            "no cohort counts them\n"
+        )
+
+    @pytest.mark.parametrize("rejects", [False, True])
+    def test_ingest(self, records, tmp_path, capsys, rejects):
+        argv = ["ingest", "--records", str(records), "--coding-table", DEMO_TABLE]
+        argv += ["--rejects", str(tmp_path / "rejects.csv")] * rejects
+        assert run(argv, tmp_path)[0] == 0
+        assert capsys.readouterr().err == self.REJECTS
+
+    def test_no_notes_without_rejects(self, mini_corpus, tmp_path, capsys):
+        argv = ["stats", "--records", str(mini_corpus), "--span", "1870:1879",
+                "--sex", "F"]
+        assert run(argv, tmp_path)[0] == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestByteOrderMark:
     """Spreadsheet programs start a UTF-8 CSV with a byte-order mark, which
     every input skips."""

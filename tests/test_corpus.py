@@ -5,6 +5,8 @@ import os
 import random
 import tempfile
 import threading
+import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -437,10 +439,19 @@ class TestCohortIndex:
         parsed = parse_records(io.StringIO(text))
         filtered = filter_records(parsed.records, policy, demo_table)
 
-        scan = RecordScan(io.StringIO(text), policy, demo_table)
+        scan = RecordScan(io.StringIO(text), policy, demo_table, keep_rejects=True)
         index = CohortIndex(scan, *ages)
         assert scan.parse_rejected == parsed.rejected
         assert scan.filter_rejected == filtered.rejected
+        assert scan.parse_reasons == Counter(row.reason for row in parsed.rejected)
+        assert scan.filter_reasons == Counter(reason for _, reason in filtered.rejected)
+        unresolved = 0
+        for record in filtered.kept:
+            try:
+                assign_birth_year(record, CohortSpec(Sex.FEMALE, 0, 0, *ages))
+            except AgeUnresolvableError:
+                unresolved += 1
+        assert index.unresolved == unresolved
         for start, width in spans:
             for sex in Sex:
                 spec = CohortSpec(sex, start, start + width, *ages)
@@ -489,7 +500,7 @@ class TestMemoizedScanMatchesReference:
         )
         ref = reference_corpus.RecordScan(_stream(text), policy, demo_table)
         ref_kept = list(ref)
-        scan = RecordScan(_stream(text), policy, demo_table)
+        scan = RecordScan(_stream(text), policy, demo_table, keep_rejects=True)
         rows = list(scan)
 
         assert rows == [
@@ -499,9 +510,17 @@ class TestMemoizedScanMatchesReference:
         ]
         assert scan.parse_rejected == ref.parse_rejected
         assert scan.filter_rejected == ref.filter_rejected
+        assert scan.parse_reasons == Counter(row.reason for row in ref.parse_rejected)
+        assert scan.filter_reasons == Counter(reason for _, reason in ref.filter_rejected)
+        counted = RecordScan(_stream(text), policy, demo_table, keep_rejects=False)
+        assert list(counted) == rows
+        assert counted.parse_rejected == counted.filter_rejected == []
+        assert counted.parse_reasons == scan.parse_reasons
+        assert counted.filter_reasons == scan.filter_reasons
         index = CohortIndex(rows, *ages)
         buckets = {(year, Sex(sex)): b for (year, sex), b in index._buckets.items()}
-        assert buckets == reference_corpus.cohort_buckets(ref_kept, *ages)
+        assert (buckets, index.unresolved) == reference_corpus.cohort_buckets(ref_kept,
+                                                                              *ages)
 
         want_out, want_rejects = reference_corpus.ingest(text, policy, demo_table)
         with tempfile.TemporaryDirectory() as tmp:
@@ -521,7 +540,7 @@ class TestMemoizedScanMatchesReference:
         """The name memo holds the distinct truncated names, the others the
         distinct raw texts of their column."""
         policy = FilterPolicy(require_native_born=native)
-        scan = RecordScan(_stream(text), policy, demo_table)
+        scan = RecordScan(_stream(text), policy, demo_table, keep_rejects=False)
         for _ in scan:
             pass
         header, *body = csv.reader(_stream(text))
@@ -621,14 +640,15 @@ def _passes(fail=None):
 
 
 def _indexed(path, policy, table, ages, workers):
-    """The index's buckets and reject counts, or the error it raised."""
+    """The index's buckets and unresolved count with the reject counts by
+    reason, or the error it raised."""
     try:
-        index, parse_rejects, filter_rejects = corpus.index_records(
+        index, parse_reasons, filter_reasons = corpus.index_records(
             str(path), policy, table, ages, workers
         )
     except (ParseError, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc)
-    return index._buckets, parse_rejects, filter_rejects
+    return index._buckets, index.unresolved, parse_reasons, filter_reasons
 
 
 class TestIndexRecords:
@@ -720,6 +740,28 @@ class TestIndexRecords:
                 _indexed(path, FilterPolicy(), demo_table, (25, 35), 3)
         assert len(calls) == 2
         assert _waited_all()
+
+    def test_memory_does_not_grow_with_rejects(self, demo_table, tmp_path):
+        """The index path counts rejects and keeps no reject row, so its peak
+        traced memory at 40k rejected rows is that at 2k."""
+        kept = ["Mary,F,5,1880,census,,", "Ann,F,,1880,census,,"] * 1000
+        peaks = []
+        for rejects in (2_000, 40_000):
+            path = tmp_path / f"r{rejects}.csv"
+            # a parse and a filter reject, each one repeated text, so that no
+            # memo grows with them
+            bad = ["Mary,X,5,1880,census,,", "J,F,5,1880,census,,"] * (rejects // 2)
+            path.write_text(records_csv(kept + bad), encoding="utf-8")
+            tracemalloc.start()
+            try:
+                _, parse_reasons, filter_reasons = corpus.index_records(
+                    str(path), FilterPolicy(), demo_table, (25, 35))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert parse_reasons == {"bad_sex": rejects // 2}
+            assert filter_reasons == {"single_letter": rejects // 2}
+        assert peaks[1] < peaks[0] + (64 << 10), peaks
 
     def test_one_range_while_other_threads_run(self, tmp_path):
         path = tmp_path / "r.csv"
