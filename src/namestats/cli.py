@@ -50,8 +50,9 @@ read or any simulation run.
 simulate builds every distinct name in one itertools pass (see
 synth.sequential_names); each name's row is the name before the tail of one
 empty-name row from the ingest writer, exact because that writer leaves
-upper-case letters unquoted.  Rows are repeated by label in birth order, so
-no record is built per name or birth, and written a slice at a time.
+upper-case letters unquoted.  The rows sit once in an object array, and
+each slice of labels is rendered from it and written in turn, so no record
+is built per name or birth and no list or string spans every birth.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ SAMPLEVAR_GRID = [
     (p, n) for n in (100, 1000, 10_000, 100_000) for p in (0.20, 0.03, 0.015)
 ]
 
-# simulate rows joined per write: bounds the text held at once without a
-# write call per row
+# simulate rows repeated and joined per write: bounds the list and text held
+# at once without a write call per row
 _WRITE_SLICE = 1 << 16
 
 EXIT_OK = 0
@@ -533,21 +534,20 @@ def _cmd_simulate(args) -> int:
     )
     names, labels = synth.simulate_labels(config)
     # a simulated name is upper-case letters, which the writer leaves unquoted,
-    # so its row is the name before the tail of an empty-name row; the repeats
-    # are joined a slice at a time, never into one whole report
+    # so its row is the name before the tail of an empty-name row; each slice
+    # of labels is repeated and joined in turn, never a list for every birth
     buf = io.StringIO()
     corpus.write_rows([("", config.sex.value, None, config.year,
                         RecordKind.BIRTH_REGISTER.value, None, None)], buf)
     buf.seek(0)
     header, tail = buf  # a StringIO's lines end only at "\n", as the writer's do
-    repeated = synth.repeat_by_label([name + tail for name in names], labels)
-    slices = range(0, len(repeated), _WRITE_SLICE)
+    rows = synth.repeat_by_label([name + tail for name in names], labels, _WRITE_SLICE)
+    del names  # the rows are all that is needed of them
     meta_path = None
     if args.out is not None:
         meta_path = Path(args.out).with_suffix(Path(args.out).suffix + ".meta.json")
     with _outputs(args.out, meta_path) as (out, meta):
-        out.writelines(chain([header],
-                             ("".join(repeated[i:i + _WRITE_SLICE]) for i in slices)))
+        out.writelines(chain([header], map("".join, rows)))
         if meta is not None:
             meta.write(json.dumps(synth.simulation_metadata(config), indent=2) + "\n")
     return EXIT_OK

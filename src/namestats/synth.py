@@ -10,7 +10,8 @@ name samples, which makes the generator a useful end-to-end fixture.
 The process runs in one vectorized pass over the ``initial_names``
 founders followed by the births, all numbered in birth order:
 
-1. ``rng.random(births) < alpha`` marks the births that innovate.
+1. ``rng.random(m) < alpha``, drawn 2^16 births at a time into one bool
+   array (split draws give the same doubles), marks the innovations.
 2. One ``rng.integers(0, highs)`` call draws every copy target, where
    ``highs`` holds each copying individual's own index (the number of
    earlier individuals).  numpy's array-``high`` path consumes the PCG64
@@ -19,6 +20,8 @@ founders followed by the births, all numbered in birth order:
    copy target; parents always precede children, so pointer jumping
    (``parent = parent[parent]`` until it stops changing) reaches every
    individual's root, the founder or innovation whose name it carries.
+   Rounds alternate between two index buffers; the spare one then
+   holds the root numbering.
 4. Roots are numbered in index order, which is order of first
    appearance: founders first, then innovations in birth order.  All
    roots are named in one pass, root j taking entry j of
@@ -35,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .corpus import YEAR_MAX, YEAR_MIN, Cohort, CohortSpec, NameRecord, RecordKind
 from .standardize import MAX_NAME_LEN, Sex
@@ -46,6 +49,8 @@ if TYPE_CHECKING:
 RNG_ALGORITHM = "numpy-pcg64"
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# births per innovation draw, so no double per birth is held at once
+_DRAW_CHUNK = 1 << 16
 
 
 def sequential_names(count: int) -> list[str]:
@@ -95,23 +100,31 @@ def simulate_labels(config: SimulationConfig) -> tuple[list[str], np.ndarray]:
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    innovate = rng.random(config.births) < config.innovation_rate
+    is_root = np.ones(config.initial_names + config.births, dtype=bool)
+    births = is_root[config.initial_names:]
+    for part in np.split(births, range(_DRAW_CHUNK, births.size, _DRAW_CHUNK)):
+        np.less(rng.random(part.size), config.innovation_rate, out=part)
 
-    founders = config.initial_names
-    is_root = np.concatenate([np.ones(founders, dtype=bool), innovate])
     parent = np.arange(is_root.size)
     # individual i draws uniformly among the i individuals before it
     copies = np.flatnonzero(~is_root)
     parent[copies] = rng.integers(0, copies)
+    del copies  # freed before the second index buffer is made
+    jumped = np.empty_like(parent)
     while True:
-        jumped = parent[parent]
+        # every index is in range; "clip" writes straight into the spare
+        # buffer, where "raise" would fill a temporary copy first
+        np.take(parent, parent, out=jumped, mode="clip")
         if np.array_equal(jumped, parent):
             break
-        parent = jumped
+        parent, jumped = jumped, parent
 
-    root_label = np.cumsum(is_root) - 1
-    names = sequential_names(int(np.count_nonzero(is_root)))
-    return names, root_label[parent]
+    # the spare buffer takes the running root count: root j's label + 1
+    labels = np.cumsum(is_root, out=jumped)[parent]
+    labels -= 1
+    roots = int(jumped[-1])
+    del is_root, parent, jumped  # freed before the names are built
+    return sequential_names(roots), labels
 
 
 def simulate_naming(config: SimulationConfig) -> Cohort:
@@ -146,14 +159,17 @@ def simulate_records(config: SimulationConfig) -> list[NameRecord]:
         )
         for name in names
     ]
-    return repeat_by_label(records, labels)
+    return list(chain.from_iterable(repeat_by_label(records, labels, labels.size)))
 
 
-def repeat_by_label(items: list, labels: np.ndarray) -> list:
-    """``[items[j] for j in labels]``, indexed in one numpy pass."""
+def repeat_by_label(items: list, labels: np.ndarray, step: int) -> Iterator[list]:
+    """``[items[j] for j in labels]``, ``step`` labels at a time, each slice
+    indexed in one numpy pass."""
     import numpy as np
 
-    return np.fromiter(items, dtype=object, count=len(items))[labels].tolist()
+    table = np.fromiter(items, dtype=object, count=len(items))
+    for start in range(0, labels.size, step):
+        yield table[labels[start:start + step]].tolist()
 
 
 def simulation_metadata(config: SimulationConfig) -> dict:

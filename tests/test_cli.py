@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -416,6 +417,35 @@ class TestSimulate:
         assert sliced.read_bytes() == whole.read_bytes()
         assert main(flags) == 0
         assert capsys.readouterr().out == whole.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("births", [6, 7, 8, 699, 700])
+    def test_small_draws_and_slices_keep_bytes(self, tmp_path, monkeypatch, births):
+        """Innovation flags drawn 7 births at a time and rows written 5 at a
+        time give the per-birth loop's bytes, whether the founders and
+        births fill the last draw and the last slice or leave them short."""
+        monkeypatch.setattr(synth, "_DRAW_CHUNK", 7)
+        monkeypatch.setattr(cli, "_WRITE_SLICE", 5)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--alpha", "0.3", "--births", str(births),
+                     "--initial-names", "3", "--seed", "8", "--out", str(out)]) == 0
+        want = reference_simulation(SimulationConfig(0.3, births, initial_names=3, seed=8))
+        assert out.read_bytes() == want.getvalue().encode("utf-8")
+
+    def test_peak_traced_memory_per_birth(self, tmp_path):
+        """A million births hold no per-birth temporaries: the peak memory
+        traced while simulating and writing is at most 32 bytes per birth
+        (one int64 index array is 8)."""
+        births = 1_000_000
+        out = tmp_path / "sim.csv"
+        flags = ["simulate", "--alpha", "0.1", "--seed", "20260809", "--out", str(out)]
+        assert main([*flags, "--births", "10"]) == 0  # imports numpy.random untraced
+        tracemalloc.start()
+        try:
+            assert main([*flags, "--births", str(births)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * births, f"{peak / births:.1f} bytes per birth"
 
     @pytest.mark.parametrize("year", ["999", "5000"])
     def test_year_checked_before_simulating(self, tmp_path, capsys, monkeypatch, year):

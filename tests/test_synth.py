@@ -202,3 +202,14 @@ def test_vectorized_matches_reference_loop(alpha, births, founders, seed):
 )
 def test_vectorized_matches_reference_loop_at_scale(alpha, births, founders, seed):
     assert_matches_loop(alpha, births, founders, seed)
+
+
+@pytest.mark.parametrize(
+    "chunk, births", [(7, 6), (7, 7), (7, 8), (7, 14), (7, 700), (7, 703), (1, 300)]
+)
+def test_draw_chunks_match_reference_loop(monkeypatch, chunk, births):
+    """Innovation flags drawn a few births at a time give the per-birth
+    loop's names: one short of, at and one past a draw boundary, runs of
+    100 draws that end whole or short, and one draw per birth."""
+    monkeypatch.setattr(synth, "_DRAW_CHUNK", chunk)
+    assert_matches_loop(0.3, births, 2, births)
