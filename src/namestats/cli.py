@@ -5,7 +5,8 @@ Exit codes: 0 success; 1 parse/usage failure (including fit --chart with
 more than one cohort, and an input that cannot be read or an output that
 cannot be written); 2 insufficient distinct names (or too few fit
 points), naming every cohort, or span1->span2 pair, that fails; 3
-divergent other-names mass in C1.
+divergent other-names mass in C1; 4 an internal invariant failure (a bug,
+not bad input), printed as "internal error: ...".
 
 Each subcommand takes only the options it reads (see `namestats CMD -h`).
 Every one writes to --out (default stdout); all but ingest and simulate
@@ -50,9 +51,10 @@ read or any simulation run.
 simulate builds every distinct name in one itertools pass (see
 synth.sequential_names); each name's row is the name before the tail of one
 empty-name row from the ingest writer, exact because that writer leaves
-upper-case letters unquoted.  The rows sit once in an object array, and
-each slice of labels is rendered from it and written in turn, so no record
-is built per name or birth and no list or string spans every birth.
+upper-case letters unquoted.  The names sit once in an object array; each
+slice of labels picks its names from it, joins them with that tail and is
+written in turn, so no record or row string is built per name or birth and
+no list or string spans every birth.
 """
 
 from __future__ import annotations
@@ -65,13 +67,12 @@ import stat
 import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 from . import corpus, reports, synth
 from .commstats import DivergentOtherMassError, comm_all
-from .corpus import CohortSpec, FilterPolicy, ParseError, RecordKind
+from .corpus import CohortSpec, FilterPolicy, InvariantError, ParseError, RecordKind
 from .popstats import (
     InsufficientDistinctNamesError,
     frequency_table,
@@ -91,14 +92,15 @@ SAMPLEVAR_GRID = [
     (p, n) for n in (100, 1000, 10_000, 100_000) for p in (0.20, 0.03, 0.015)
 ]
 
-# simulate rows repeated and joined per write: bounds the list and text held
-# at once without a write call per row
-_WRITE_SLICE = 1 << 16
+# simulate rows joined per write: bounds the list and text held at once
+# without a write call per row
+_WRITE_SLICE = 1 << 14
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INSUFFICIENT = 2
 EXIT_DIVERGENT = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -524,6 +526,8 @@ def _cmd_conquest(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
     config = synth.SimulationConfig(
         innovation_rate=args.alpha,
         births=args.births,
@@ -535,19 +539,23 @@ def _cmd_simulate(args) -> int:
     names, labels = synth.simulate_labels(config)
     # a simulated name is upper-case letters, which the writer leaves unquoted,
     # so its row is the name before the tail of an empty-name row; each slice
-    # of labels is repeated and joined in turn, never a list for every birth
+    # of labels picks its names and joins them with that tail in turn, never
+    # a list for every birth
     buf = io.StringIO()
     corpus.write_rows([("", config.sex.value, None, config.year,
                         RecordKind.BIRTH_REGISTER.value, None, None)], buf)
     buf.seek(0)
     header, tail = buf  # a StringIO's lines end only at "\n", as the writer's do
-    rows = synth.repeat_by_label([name + tail for name in names], labels, _WRITE_SLICE)
-    del names  # the rows are all that is needed of them
+    table = np.fromiter(names, dtype=object, count=len(names))
+    del names  # the array is all that is needed of them
     meta_path = None
     if args.out is not None:
         meta_path = Path(args.out).with_suffix(Path(args.out).suffix + ".meta.json")
     with _outputs(args.out, meta_path) as (out, meta):
-        out.writelines(chain([header], map("".join, rows)))
+        out.write(header)
+        for start in range(0, labels.size, _WRITE_SLICE):
+            out.write(tail.join(table[labels[start:start + _WRITE_SLICE]].tolist()))
+            out.write(tail)
         if meta is not None:
             meta.write(json.dumps(synth.simulation_metadata(config), indent=2) + "\n")
     return EXIT_OK
@@ -572,6 +580,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -71,6 +71,10 @@ class ParseError(ValueError):
     """The record stream cannot be parsed at all (bad header, unreadable)."""
 
 
+class InvariantError(RuntimeError):
+    """A check of the program's own logic failed: a bug, not bad input."""
+
+
 class AgeUnresolvableError(ValueError):
     """No age and no applicable default: the birth year cannot be assigned."""
 
@@ -550,7 +554,7 @@ class RecordScan:
         reason = filter_reason(parsed, leading_letters(parsed.raw_name), self._policy,
                                self._table)
         if reason is None:
-            raise RuntimeError(f"row {fields} decodes to a reject but is kept")
+            raise InvariantError(f"row {fields} decodes to a reject but is kept")
         self.filter_reasons[reason] += 1
         if self._keep_rejects:
             self.filter_rejected.append((parsed, reason))

@@ -12,21 +12,25 @@ founders followed by the births, all numbered in birth order:
 
 1. ``rng.random(m) < alpha``, drawn 2^16 births at a time into one bool
    array (split draws give the same doubles), marks the innovations.
-2. One ``rng.integers(0, highs)`` call draws every copy target, where
-   ``highs`` holds each copying individual's own index (the number of
-   earlier individuals).  numpy's array-``high`` path consumes the PCG64
-   stream exactly as one scalar call per birth would, in birth order.
-3. Each individual's parent is itself (founders and innovations) or its
-   copy target; parents always precede children, so pointer jumping
-   (``parent = parent[parent]`` until it stops changing) reaches every
-   individual's root, the founder or innovation whose name it carries.
-   Rounds alternate between two index buffers; the spare one then
-   holds the root numbering.
-4. Roots are numbered in index order, which is order of first
-   appearance: founders first, then innovations in birth order.  All
-   roots are named in one pass, root j taking entry j of
-   :func:`sequential_names`, built by ``itertools`` with no Python loop
-   per name, so no two roots share a name.
+   Every innovation double is drawn before any copy target.
+2. The individuals are then labelled in one forward pass over blocks of
+   2^16.  One ``rng.integers(0, highs)`` call draws the block's copy
+   targets, where ``highs`` holds each copying individual's own index
+   (the number of earlier individuals).  numpy's array-``high`` path
+   consumes the PCG64 stream one element at a time, exactly as one
+   scalar call per birth would, so split calls give the same targets.
+3. A target in an earlier block already has its label, which the copier
+   takes.  Inside the block, each individual's parent is itself (roots
+   and copiers of earlier blocks) or its copy target; parents always
+   precede children, so pointer jumping on a block-local array
+   (``parent = parent[parent]`` until it stops changing) reaches the
+   individual in the block whose label it carries.
+4. Roots take labels from a running count in index order, which is order
+   of first appearance: founders first, then innovations in birth order.
+   The labels are of the smallest signed integer type that holds the
+   population size.  All roots are named in one pass, root j taking
+   entry j of :func:`sequential_names`, built by ``itertools`` with no
+   Python loop per name, so no two roots share a name.
 
 Streams come from numpy's PCG64 generator, so a config reproduces its
 corpus bit for bit; :func:`simulation_metadata` captures the seed and
@@ -38,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, product
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .corpus import YEAR_MAX, YEAR_MIN, Cohort, CohortSpec, NameRecord, RecordKind
 from .standardize import MAX_NAME_LEN, Sex
@@ -49,7 +53,8 @@ if TYPE_CHECKING:
 RNG_ALGORITHM = "numpy-pcg64"
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-# births per innovation draw, so no double per birth is held at once
+# births per innovation draw and individuals per labelling block, so no
+# double or index per birth is held at once
 _DRAW_CHUNK = 1 << 16
 
 
@@ -95,35 +100,49 @@ class SimulationConfig:
 def simulate_labels(config: SimulationConfig) -> tuple[list[str], np.ndarray]:
     """``(names, labels)``: individual i (founders first) is ``names[labels[i]]``.
 
-    ``names`` holds one entry per root in order of first appearance.
+    ``names`` holds one entry per root in order of first appearance;
+    ``labels`` is of the smallest signed integer type that holds the
+    population size.
     """
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    is_root = np.ones(config.initial_names + config.births, dtype=bool)
+    size = config.initial_names + config.births
+    is_root = np.ones(size, dtype=bool)
     births = is_root[config.initial_names:]
     for part in np.split(births, range(_DRAW_CHUNK, births.size, _DRAW_CHUNK)):
         np.less(rng.random(part.size), config.innovation_rate, out=part)
 
-    parent = np.arange(is_root.size)
-    # individual i draws uniformly among the i individuals before it
-    copies = np.flatnonzero(~is_root)
-    parent[copies] = rng.integers(0, copies)
-    del copies  # freed before the second index buffer is made
-    jumped = np.empty_like(parent)
-    while True:
-        # every index is in range; "clip" writes straight into the spare
-        # buffer, where "raise" would fill a temporary copy first
-        np.take(parent, parent, out=jumped, mode="clip")
-        if np.array_equal(jumped, parent):
-            break
-        parent, jumped = jumped, parent
-
-    # the spare buffer takes the running root count: root j's label + 1
-    labels = np.cumsum(is_root, out=jumped)[parent]
-    labels -= 1
-    roots = int(jumped[-1])
-    del is_root, parent, jumped  # freed before the names are built
+    # signed, so that np.bincount casts it safely
+    labels = np.empty(size, dtype=np.min_scalar_type(-size))
+    roots = 0
+    for lo in range(0, size, _DRAW_CHUNK):
+        block = is_root[lo:lo + _DRAW_CHUNK]
+        copies = np.flatnonzero(~block)
+        # individual i draws uniformly among the i individuals before it
+        targets = rng.integers(0, copies + lo)
+        # the label each block member's pointer chain ends at: a root's own,
+        # or that of a copy target in an earlier block
+        own = np.empty(block.size, dtype=labels.dtype)
+        count = np.count_nonzero(block)
+        own[block] = np.arange(roots, roots + count)
+        roots += count
+        earlier = targets < lo
+        own[copies[earlier]] = labels[targets[earlier]]
+        # block-local indices are below the population size, so they fit
+        parent = np.arange(block.size, dtype=labels.dtype)
+        inside = ~earlier
+        parent[copies[inside]] = targets[inside] - lo
+        jumped = np.empty_like(parent)
+        while True:
+            # every index is in range; "clip" writes straight into the spare
+            # buffer, where "raise" would fill a temporary copy first
+            np.take(parent, parent, out=jumped, mode="clip")
+            if np.array_equal(jumped, parent):
+                break
+            parent, jumped = jumped, parent
+        np.take(own, parent, out=labels[lo:lo + block.size], mode="clip")
+    del is_root  # freed before the names are built
     return sequential_names(roots), labels
 
 
@@ -159,17 +178,7 @@ def simulate_records(config: SimulationConfig) -> list[NameRecord]:
         )
         for name in names
     ]
-    return list(chain.from_iterable(repeat_by_label(records, labels, labels.size)))
-
-
-def repeat_by_label(items: list, labels: np.ndarray, step: int) -> Iterator[list]:
-    """``[items[j] for j in labels]``, ``step`` labels at a time, each slice
-    indexed in one numpy pass."""
-    import numpy as np
-
-    table = np.fromiter(items, dtype=object, count=len(items))
-    for start in range(0, labels.size, step):
-        yield table[labels[start:start + step]].tolist()
+    return [records[j] for j in labels.tolist()]
 
 
 def simulation_metadata(config: SimulationConfig) -> dict:

@@ -433,8 +433,8 @@ class TestSimulate:
 
     def test_peak_traced_memory_per_birth(self, tmp_path):
         """A million births hold no per-birth temporaries: the peak memory
-        traced while simulating and writing is at most 32 bytes per birth
-        (one int64 index array is 8)."""
+        traced while simulating and writing is at most 16 bytes per birth
+        (the labels are 4, one int64 index array would be 8)."""
         births = 1_000_000
         out = tmp_path / "sim.csv"
         flags = ["simulate", "--alpha", "0.1", "--seed", "20260809", "--out", str(out)]
@@ -445,7 +445,7 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * births, f"{peak / births:.1f} bytes per birth"
+        assert peak <= 16 * births, f"{peak / births:.1f} bytes per birth"
 
     @pytest.mark.parametrize("year", ["999", "5000"])
     def test_year_checked_before_simulating(self, tmp_path, capsys, monkeypatch, year):
@@ -715,6 +715,28 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"cannot read {table}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["ingest"],
+        ["ingest", "--rejects", "REJECTS"],
+        ["stats", "--span", "1870:1879"],
+    ])
+    def test_invariant_failure_exit_4(self, tmp_path, capsys, monkeypatch, command):
+        """A row the scan rejects but whose reason decodes to none is a bug,
+        not bad input: one "internal error" line and exit 4, no traceback,
+        and no output written."""
+        records = tmp_path / "records.csv"
+        records.write_text(records_csv(["Mary,F,5,1880,census,,", "Mrs,F,40,1880,census,,"]),
+                           encoding="utf-8")
+        monkeypatch.setattr(corpus, "filter_reason", lambda *args: None)
+        argv = [arg.replace("REJECTS", str(tmp_path / "rej.csv")) for arg in command]
+        out = tmp_path / "out.csv"
+        code = main([*argv, "--records", str(records), "--out", str(out)])
+        assert code == 4
+        row = ["Mrs", "F", "40", "1880", "census", "", ""]
+        assert capsys.readouterr().err == (
+            f"internal error: row {row} decodes to a reject but is kept\n")
+        assert sorted(os.listdir(tmp_path)) == ["records.csv"]
 
     def test_missing_records_message(self, tmp_path, capsys):
         records = tmp_path / "nope.csv"

@@ -2,6 +2,7 @@ import dataclasses
 import statistics
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,12 +176,14 @@ def reference_records(config: SimulationConfig, names: list[str]) -> list[NameRe
 def assert_matches_loop(alpha, births, founders, seed):
     """The vectorized simulator against the per-birth reference loop: the
     same name for every individual, the same counts in the same key order
-    and the same records."""
+    and the same records; the labels are signed and hold every index."""
     config = SimulationConfig(alpha, births, founders, seed)
     want = simulate_sequence(config)
 
     names, labels = simulate_labels(config)
     assert [names[j] for j in labels.tolist()] == want
+    assert labels.dtype.kind == "i"
+    assert np.iinfo(labels.dtype).max >= labels.size - 1
     assert list(simulate_naming(config).names.items()) == list(Counter(want).items())
     assert simulate_records(config) == reference_records(config, want)
 
@@ -208,8 +211,37 @@ def test_vectorized_matches_reference_loop_at_scale(alpha, births, founders, see
     "chunk, births", [(7, 6), (7, 7), (7, 8), (7, 14), (7, 700), (7, 703), (1, 300)]
 )
 def test_draw_chunks_match_reference_loop(monkeypatch, chunk, births):
-    """Innovation flags drawn a few births at a time give the per-birth
-    loop's names: one short of, at and one past a draw boundary, runs of
-    100 draws that end whole or short, and one draw per birth."""
+    """Innovation flags drawn, and labels found, a few individuals at a time
+    give the per-birth loop's names: one short of, at and one past a block
+    boundary, runs of 100 blocks that end whole or short, and one block per
+    individual."""
     monkeypatch.setattr(synth, "_DRAW_CHUNK", chunk)
     assert_matches_loop(0.3, births, 2, births)
+
+
+@pytest.mark.parametrize("chunk", [7, 1])
+@pytest.mark.parametrize(
+    "alpha, births, founders",
+    [
+        (0.0, 60, 1),  # every birth copies
+        (1.0, 60, 3),  # every birth is a root
+        (0.3, 40, 20),  # the first blocks hold only founders
+        (0.3, 126, 1),  # 127 and 128 individuals: int8 labels
+        (0.3, 127, 1),
+        (0.3, 32766, 1),  # 32767 and 32768 individuals: int16 labels
+        (0.3, 32767, 1),
+    ],
+)
+def test_blocks_match_reference_loop(monkeypatch, chunk, alpha, births, founders):
+    """Labels found block by block give the per-birth loop's names and
+    counts with blocks of 7 and of 1, when every birth copies or none does,
+    when whole blocks hold only founders, and at the population sizes where
+    the labels' type widens: it is the smallest signed type that holds the
+    population size."""
+    monkeypatch.setattr(synth, "_DRAW_CHUNK", chunk)
+    config = SimulationConfig(alpha, births, founders, births + chunk)
+    want = simulate_sequence(config)
+    names, labels = simulate_labels(config)
+    assert [names[j] for j in labels.tolist()] == want
+    assert list(simulate_naming(config).names.items()) == list(Counter(want).items())
+    assert labels.dtype == (np.int8 if labels.size <= 128 else np.int16)
