@@ -55,6 +55,14 @@ upper-case letters unquoted.  The names sit once in an object array; each
 slice of labels picks its names from it, joins them with that tail and is
 written in turn, so no record or row string is built per name or birth and
 no list or string spans every birth.
+
+Importing this module loads only the standard library, corpus and
+standardize; each subcommand imports the modules it runs when it runs
+(stats and samplevar popstats and reports, comm commstats, fit and
+conquest powerlaw, simulate synth and numpy), and main tells the errors
+that exit 2 and 3 apart without importing a module to do so.  simulate
+calls no BLAS routine, so it loads numpy with one OpenBLAS thread unless
+OPENBLAS_NUM_THREADS is already set.
 """
 
 from __future__ import annotations
@@ -70,21 +78,8 @@ from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Iterable
 
-from . import corpus, reports, synth
-from .commstats import DivergentOtherMassError, comm_all
+from . import corpus
 from .corpus import CohortSpec, FilterPolicy, InvariantError, ParseError, RecordKind
-from .popstats import (
-    InsufficientDistinctNamesError,
-    frequency_table,
-    sampling_variability,
-    summarize,
-)
-from .powerlaw import (
-    InsufficientPointsError,
-    conquest_model,
-    fit_rank_frequency,
-    loglog_series,
-)
 from .standardize import CodingTable, Sex, load_coding_table
 
 # standard variability grid: sample sizes ascending, probabilities descending within each
@@ -102,11 +97,29 @@ EXIT_INSUFFICIENT = 2
 EXIT_DIVERGENT = 3
 EXIT_INTERNAL = 4
 
+# library errors with exit codes of their own, by module and type; a type is
+# looked up only in a module some command has loaded, as no other can raise it
+_EXIT_CODES = (
+    ("popstats", "InsufficientDistinctNamesError", EXIT_INSUFFICIENT),
+    ("powerlaw", "InsufficientPointsError", EXIT_INSUFFICIENT),
+    ("commstats", "DivergentOtherMassError", EXIT_DIVERGENT),
+)
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+def _exit_code(exc: ValueError) -> int:
+    """The exit code of a library error: 2 for too few distinct names or fit
+    points, 3 for a divergent other-names mass, else 1."""
+    for module, name, code in _EXIT_CODES:
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(exc, getattr(loaded, name)):
+            return code
+    return EXIT_PARSE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -444,7 +457,9 @@ def _each_cohort(args, jobs, evaluate) -> list[tuple[str, str, object]]:
         sex = specs[0].sex.value
         try:
             rows.append((label, sex, evaluate(*(index.cohort(spec) for spec in specs))))
-        except (InsufficientDistinctNamesError, InsufficientPointsError) as exc:
+        except ValueError as exc:
+            if _exit_code(exc) != EXIT_INSUFFICIENT:
+                raise
             failures.append(f"  cohort {label} sex {sex}: {exc}")
     if failures:
         raise CliError(
@@ -462,12 +477,18 @@ def _span_jobs(args) -> list[tuple[CohortSpec, ...]]:
 
 
 def _cmd_stats(args) -> int:
+    from . import reports
+    from .popstats import summarize
+
     rows = _each_cohort(args, _span_jobs(args), lambda cohort: summarize(cohort, args.k))
     _write(args, [reports.render_summaries(rows, args.format)])
     return EXIT_OK
 
 
 def _cmd_comm(args) -> int:
+    from . import reports
+    from .commstats import comm_all
+
     years = args.years
     if years is None:
         mid1 = (args.span1[0] + args.span1[1]) / 2
@@ -486,6 +507,10 @@ def _cmd_comm(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import reports
+    from .popstats import frequency_table
+    from .powerlaw import fit_rank_frequency, loglog_series
+
     jobs = _span_jobs(args)
     if args.chart is not None and len(jobs) > 1:
         raise CliError(
@@ -507,12 +532,18 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_samplevar(args) -> int:
+    from . import reports
+    from .popstats import sampling_variability
+
     rows = [(p, n, sampling_variability(p, n)) for p, n in SAMPLEVAR_GRID]
     _write(args, [reports.render_samplevar(rows, args.format)])
     return EXIT_OK
 
 
 def _cmd_conquest(args) -> int:
+    from . import reports
+    from .powerlaw import conquest_model
+
     result = conquest_model(
         args.year2_top,
         args.year2_total,
@@ -526,7 +557,12 @@ def _cmd_conquest(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # simulate calls no BLAS routine, so OpenBLAS's worker threads would only
+    # spin while numpy loads; a value the user set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
+
+    from . import synth
 
     config = synth.SimulationConfig(
         innovation_rate=args.alpha,
@@ -586,15 +622,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InsufficientDistinctNamesError, InsufficientPointsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except DivergentOtherMassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _exit_code(exc)
     except BrokenPipeError:
         # stdout's reader has gone, as in `namestats ingest ... | head`; the
         # interpreter's last flush of stdout would fail again, so point it at

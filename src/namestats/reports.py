@@ -12,11 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .commstats import CommResult
-from .popstats import PopularitySummary, SamplingVariability
-from .powerlaw import PowerLawFit
+if TYPE_CHECKING:
+    from .commstats import CommResult
+    from .popstats import PopularitySummary, SamplingVariability
+    from .powerlaw import PowerLawFit
 
 SUMMARY_HEADER = ("cohort", "sex", "top_name", "top_pop", "topk_pop", "info_Is", "sample_size")
 COMM_HEADER = ("span", "sex", "c1", "c2", "c3", "c4_pct", "new_topk", "turnover_pa", "fallback")

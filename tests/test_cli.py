@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from namestats import cli, corpus, synth
 from namestats.cli import main
+from namestats.commstats import DivergentOtherMassError
 from namestats.corpus import (
     RECORD_HEADER,
     FilterPolicy,
@@ -26,6 +27,8 @@ from namestats.corpus import (
     write_records,
     write_rejection_report,
 )
+from namestats.popstats import InsufficientDistinctNamesError
+from namestats.powerlaw import InsufficientPointsError
 from namestats.standardize import Sex
 from namestats.synth import SimulationConfig, simulation_metadata
 
@@ -52,6 +55,24 @@ def mini_corpus(tmp_path):
     for name, count in year2.items():
         rows.extend([f"{name},F,5,1890,census,,"] * count)
     path = tmp_path / "records.csv"
+    path.write_text(records_csv(rows), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def divergent_corpus(tmp_path):
+    """Records whose 1870s and 1880s female cohorts give an infinite C1."""
+    rows = []
+    names = ["AMY", "BETH", "CLARA", "DORA", "EDNA",
+             "FAY", "GRACE", "HILDA", "IRIS", "JUNE"]
+    # earlier cohort: its mass sits entirely on these ten names
+    for i, n in enumerate(names):
+        rows.extend([f"{n},F,15,1890,census,,"] * (20 - i))
+    # later cohort: same ten on top plus a rare eleventh outside the top 10
+    for i, n in enumerate(names):
+        rows.extend([f"{n},F,5,1890,census,,"] * (15 - i))
+    rows.append("KATE,F,5,1890,census,,")
+    path = tmp_path / "div.csv"
     path.write_text(records_csv(rows), encoding="utf-8")
     return path
 
@@ -161,20 +182,8 @@ class TestComm:
         assert row[8] == "1"
         assert float(row[7]) == pytest.approx(float(row[6]) / 10, abs=1e-9)
 
-    def test_divergent_other_mass_exit_3(self, tmp_path, capsys):
-        rows = []
-        names = ["AMY", "BETH", "CLARA", "DORA", "EDNA",
-                 "FAY", "GRACE", "HILDA", "IRIS", "JUNE"]
-        # earlier cohort: its mass sits entirely on these ten names
-        for i, n in enumerate(names):
-            rows.extend([f"{n},F,15,1890,census,,"] * (20 - i))
-        # later cohort: same ten on top plus a rare eleventh outside the top 10
-        for i, n in enumerate(names):
-            rows.extend([f"{n},F,5,1890,census,,"] * (15 - i))
-        rows.append("KATE,F,5,1890,census,,")
-        path = tmp_path / "div.csv"
-        path.write_text(records_csv(rows), encoding="utf-8")
-        code = main(["comm", "--records", str(path), "--span1", "1870:1879",
+    def test_divergent_other_mass_exit_3(self, divergent_corpus, capsys):
+        code = main(["comm", "--records", str(divergent_corpus), "--span1", "1870:1879",
                      "--span2", "1880:1889", "--sex", "F"])
         assert code == 3
         assert "divergent_other_mass" in capsys.readouterr().err
@@ -1070,3 +1079,131 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout == "False\n"
+
+    def test_cli_import_loads_only_corpus_and_standardize(self):
+        code = ("import json, sys, namestats.cli\n"
+                "print(json.dumps(sorted(m for m in sys.modules if m.startswith('namestats'))))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                              capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == [
+            "namestats", "namestats.cli", "namestats.corpus", "namestats.standardize",
+        ]
+
+    @pytest.mark.parametrize("command, unloaded", [
+        ("stats", {"synth", "commstats", "powerlaw"}),
+        ("ingest", {"synth", "commstats", "powerlaw"}),
+        ("simulate", {"commstats", "powerlaw", "popstats"}),
+    ])
+    def test_command_loads_only_what_it_runs(self, mini_corpus, tmp_path, command,
+                                             unloaded):
+        code, loaded, err = _main_in_fresh_interpreter(
+            _valid_argv(command, mini_corpus, tmp_path))
+        assert code == 0, err
+        assert not loaded & unloaded
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["fit", "--span", "1870:1879", "--sex", "F", "--min-count", "1000"], 2,
+         "error: 1 of 1 cohorts failed:\n  cohort 1870-1879 sex F: "
+         "need >= 3 names with count >= 1000, got 0\n"),
+        (["stats", "--span", "1870:1879", "--sex", "M"], 2,
+         "error: 1 of 1 cohorts failed:\n  cohort 1870-1879 sex M: "
+         "insufficient_distinct_names: need 10, have 0 in cohort 1870-1879\n"),
+    ], ids=["fit", "stats"])
+    def test_insufficient_exit_2_in_fresh_interpreter(self, mini_corpus, argv, code,
+                                                      message):
+        got, loaded, err = _main_in_fresh_interpreter(
+            [*argv, "--records", str(mini_corpus)])
+        assert (got, err) == (code, message)
+        if argv[0] == "stats":
+            assert not loaded & {"commstats", "powerlaw"}
+
+    def test_divergent_exit_3_in_fresh_interpreter(self, divergent_corpus):
+        code, _, err = _main_in_fresh_interpreter(
+            ["comm", "--records", str(divergent_corpus), "--span1", "1870:1879",
+             "--span2", "1880:1889", "--sex", "F"])
+        assert code == 3
+        assert err == f"error: {DivergentOtherMassError()}\n"
+
+    @pytest.mark.parametrize("exc, code", [
+        (InsufficientDistinctNamesError(10, 3, "1870-1879"), 2),
+        (InsufficientPointsError("need >= 3 qualifying points, got 2"), 2),
+        (DivergentOtherMassError(), 3),
+        (ValueError("k must be >= 1"), 1),
+    ], ids=["names", "points", "divergent", "other"])
+    def test_library_error_exit_codes(self, monkeypatch, capsys, exc, code):
+        """An error that reaches main from a command exits with its own code
+        and prints its message once."""
+
+        def fail(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "samplevar", fail)
+        assert main(["samplevar"]) == code
+        assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def _fresh_env(**settings: str) -> dict:
+    """The environment for a fresh interpreter that imports this checkout's
+    namestats, with no OPENBLAS_NUM_THREADS unless one is given."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return dict(env, **settings)
+
+
+def _main_in_fresh_interpreter(argv: list[str], **settings: str):
+    """``(exit code, namestats modules loaded, stderr)`` of ``main(argv)`` run
+    in a fresh interpreter; module names lack the "namestats." prefix."""
+    code = ("import json, sys\n"
+            "from namestats.cli import main\n"
+            "code = main(json.loads(sys.argv[1]))\n"
+            "loaded = [m.partition('.')[2] for m in sys.modules "
+            "if m.startswith('namestats.')]\n"
+            "print(json.dumps([code, loaded]))\n")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                          env=_fresh_env(**settings), capture_output=True, text=True,
+                          check=True)
+    got, loaded = json.loads(done.stdout)
+    return got, set(loaded), done.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc/self/task")
+class TestBlasThreads:
+    """simulate calls no BLAS routine, so it keeps OpenBLAS to one thread."""
+
+    PROBE = ("import json, os, sys\n"
+             "before = dict(os.environ)\n"
+             "{run}\n"
+             "print(json.dumps([len(os.listdir('/proc/self/task')),\n"
+             "                  os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+             "                  dict(os.environ) == before]))\n")
+
+    def _probe(self, run: str, **settings: str) -> list:
+        """``[OS threads, OPENBLAS_NUM_THREADS, environment unchanged]`` after
+        ``run`` in a fresh interpreter."""
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE.format(run=run)],
+            env=_fresh_env(**settings), capture_output=True, text=True, check=True,
+        )
+        return json.loads(done.stdout)
+
+    @staticmethod
+    def _simulate(tmp_path) -> str:
+        argv = ["simulate", "--alpha", "0.1", "--births", "1000",
+                "--out", str(tmp_path / "out.csv")]
+        return f"from namestats.cli import main\nassert main({argv!r}) == 0"
+
+    def test_simulate_runs_one_thread(self, tmp_path):
+        threads, setting, _ = self._probe(self._simulate(tmp_path))
+        assert (threads, setting) == (1, "1")
+
+    def test_simulate_keeps_a_preset_thread_count(self, tmp_path):
+        _, setting, unchanged = self._probe(self._simulate(tmp_path),
+                                            OPENBLAS_NUM_THREADS="2")
+        assert (setting, unchanged) == ("2", True)
+
+    def test_library_simulation_leaves_environment(self):
+        run = ("from namestats.synth import SimulationConfig, simulate_labels\n"
+               "simulate_labels(SimulationConfig(innovation_rate=0.1, births=1000))")
+        _, setting, unchanged = self._probe(run)
+        assert (setting, unchanged) == (None, True)
