@@ -44,9 +44,9 @@ run that exits 1 leaves every output path as it was, and --out may name
 may not name the same file, unless it is one such as /dev/null that is
 written in place.  Errors name the path that failed.  --records and
 --coding-table are UTF-8, and a leading byte-order mark is skipped.
---min-count must be at least 1, --years above 0 and --t11 in (0, 1], and
-simulate's --year within 1000-2100; each is checked before any input is
-read or any simulation run.
+--min-count must be at least 1, --years above 0, --t11 in (0, 1], each
+span START:END with both ends or one YEAR, and simulate's --year within
+1000-2100; each is checked before any input is read or any simulation run.
 
 simulate builds every distinct name in one itertools pass (see
 synth.sequential_names); each name's row is the name before the tail of one
@@ -130,9 +130,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _span(text: str) -> tuple[int, int]:
     try:
-        start_text, _, end_text = text.partition(":")
+        start_text, colon, end_text = text.partition(":")
         start = int(start_text)
-        end = int(end_text) if end_text else start
+        end = int(end_text) if colon else start
     except ValueError:
         raise argparse.ArgumentTypeError(f"span must be START:END or YEAR, got {text!r}")
     return start, end

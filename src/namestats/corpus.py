@@ -473,9 +473,12 @@ class RecordScan:
     fills for every column of a row in which one lookup misses.  The name's
     memo is keyed by the name's leading letters, so it holds one entry per
     distinct truncated name; the others are keyed by the raw (unstripped)
-    field text.  A row with any field that decodes to a reject, or whose
-    corrected sex is still unknown, goes once through :func:`_parse_fields`
-    and :func:`filter_reason`, which give its exact reason.
+    field text.  Under the header ``RECORD_HEADER`` itself a row's fields
+    are unpacked as read; under any other header each row is first put in
+    that order, an absent column reading as empty.  A row with any field
+    that decodes to a reject, or whose corrected sex is still unknown, goes
+    once through :func:`_parse_fields` and :func:`filter_reason`, which give
+    its exact reason.
     """
 
     def __init__(
@@ -498,8 +501,11 @@ class RecordScan:
 
     def __iter__(self) -> Iterator[tuple]:
         names, sexes, ages, years, kinds, natives = (memo for memo, _ in self._decoders)
-        fields = itemgetter(*self._columns)
         width = self._width
+        # a row under the header RECORD_HEADER is already its texts in order
+        reorder = None
+        if self._columns != list(range(width)):
+            reorder = itemgetter(*self._columns)
         with _csv_errors(self._reader):
             for row in self._reader:
                 if len(row) != width:
@@ -509,32 +515,36 @@ class RecordScan:
                             self.parse_rejected.append(
                                 _malformed(row, self._columns, width))
                     continue
-                row.append("")
-                raw = fields(row)
-                letters = leading_letters(raw[0])
+                if reorder is not None:
+                    row.append("")
+                    row = reorder(row)
+                (name_text, sex_text, age_text, year_text, kind_text, location,
+                 native_text) = row
+                letters = leading_letters(name_text)
                 try:
                     coded = names[letters]
-                    sex = sexes[raw[1]]
-                    age = ages[raw[2]]
-                    year = years[raw[3]]
-                    kind = kinds[raw[4]]
-                    native = natives[raw[6]]
+                    sex = sexes[sex_text]
+                    age = ages[age_text]
+                    year = years[year_text]
+                    kind = kinds[kind_text]
+                    native = natives[native_text]
                 except KeyError:
-                    coded, sex, age, year, kind, native = self._decode_row(letters, raw)
+                    coded, sex, age, year, kind, native = self._decode_row(
+                        (letters, sex_text, age_text, year_text, kind_text, native_text))
                 if coded is not _BAD and sex is not _BAD:
                     name, override = coded
                     sex = override or sex
                 if (coded is _BAD or sex is _BAD or sex == "U" or age is _BAD
                         or year is _BAD or kind is _BAD or native is _BAD):
-                    self._reject([text.strip() for text in raw])
+                    self._reject([text.strip() for text in row])
                     continue
-                yield name, sex, age, year, kind, raw[5].strip(), native
+                yield name, sex, age, year, kind, location.strip(), native
 
-    def _decode_row(self, letters: str, raw: tuple[str, ...]) -> list:
-        """The memo values of a row with truncated name ``letters`` and raw
-        field texts ``raw``, decoding and storing each one its memo lacks."""
+    def _decode_row(self, keys: tuple[str, ...]) -> list:
+        """The memo values of a row with memo keys ``keys`` (its truncated
+        name, then its raw sex, age, year, kind and native-born texts),
+        decoding and storing each one its memo lacks."""
         values = []
-        keys = (letters, raw[1], raw[2], raw[3], raw[4], raw[6])
         for (memo, decode), key in zip(self._decoders, keys):
             if key not in memo:
                 memo[key] = decode(key)

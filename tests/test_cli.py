@@ -812,6 +812,19 @@ class TestErrorPaths:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("span", ["1870:", ":1870", "1870:1879:1880"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["stats"], "--span"),
+        (["fit"], "--span"),
+        (["comm", "--span2", "1880:1889"], "--span1"),
+        (["comm", "--span1", "1870:1879"], "--span2"),
+    ])
+    def test_bad_span_exit_1_before_reading(self, tmp_path, capsys, argv, flag, span):
+        code = main([*argv, flag, span, "--records", str(tmp_path / "absent.csv")])
+        assert code == 1
+        assert (f"argument {flag}: span must be START:END or YEAR, got {span!r}"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("command, flag", [
         (["ingest"], "--rejects"),
         (["fit", "--span", "1870:1879", "--sex", "F", "--min-count", "1"], "--chart"),

@@ -475,6 +475,65 @@ def _stream(text: str) -> io.StringIO:
     return io.StringIO(text, newline="")
 
 
+def _assert_scan_matches_reference(text, policy, table, ages):
+    """The scan of ``text``, with and without ``keep_rejects``, gives the kept
+    rows, the rejects and their counts by reason of the reference scan, and
+    its rows the reference's cohort buckets for default ages ``ages``."""
+    ref = reference_corpus.RecordScan(_stream(text), policy, table)
+    ref_kept = list(ref)
+    scan = RecordScan(_stream(text), policy, table, keep_rejects=True)
+    rows = list(scan)
+
+    assert rows == [
+        (name, sex.value, r.age, r.record_year, r.record_kind.value, r.location or "",
+         record_to_row(r)[-1])
+        for r, name, sex in ref_kept
+    ]
+    assert scan.parse_rejected == ref.parse_rejected
+    assert scan.filter_rejected == ref.filter_rejected
+    assert scan.parse_reasons == Counter(row.reason for row in ref.parse_rejected)
+    assert scan.filter_reasons == Counter(reason for _, reason in ref.filter_rejected)
+    counted = RecordScan(_stream(text), policy, table, keep_rejects=False)
+    assert list(counted) == rows
+    assert counted.parse_rejected == counted.filter_rejected == []
+    assert counted.parse_reasons == scan.parse_reasons
+    assert counted.filter_reasons == scan.filter_reasons
+    index = CohortIndex(rows, *ages)
+    buckets = {(year, Sex(sex)): b for (year, sex), b in index._buckets.items()}
+    assert (buckets, index.unresolved) == reference_corpus.cohort_buckets(ref_kept, *ages)
+
+
+@st.composite
+def ordered_or_reordered_files(draw) -> str:
+    """Record file text whose header is ``RECORD_HEADER`` itself (half the
+    time), a permutation of it, or it less one optional column: blank lines,
+    rows one field short or long, and rows with every optional field empty."""
+    header = list(RECORD_HEADER)
+    shape = draw(st.sampled_from(["in_order", "in_order", "permuted", "missing"]))
+    if shape == "permuted":
+        header = draw(st.permutations(header))
+    elif shape == "missing":
+        header.remove(draw(st.sampled_from(["age", "kind", "location", "native_born"])))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["row"] * 5 + ["blank", "short", "long", "bare"]))
+        if shape == "blank":
+            buf.write("\n")
+            continue
+        row = [draw(_CELLS[col]) for col in header]
+        if shape == "short":
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif shape == "long":
+            row.insert(draw(st.integers(0, len(row))), draw(_CELLS["location"]))
+        elif shape == "bare":
+            row = [cell if col in ("name", "sex", "year") else ""
+                   for col, cell in zip(header, row)]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
 class TestMemoizedScanMatchesReference:
     """The memoized scan against the row-at-a-time scan it replaced."""
 
@@ -498,29 +557,7 @@ class TestMemoizedScanMatchesReference:
             generic_names=DEFAULT_GENERIC_NAMES | {g.upper() for g in generic},
             require_native_born=native,
         )
-        ref = reference_corpus.RecordScan(_stream(text), policy, demo_table)
-        ref_kept = list(ref)
-        scan = RecordScan(_stream(text), policy, demo_table, keep_rejects=True)
-        rows = list(scan)
-
-        assert rows == [
-            (name, sex.value, r.age, r.record_year, r.record_kind.value, r.location or "",
-             record_to_row(r)[-1])
-            for r, name, sex in ref_kept
-        ]
-        assert scan.parse_rejected == ref.parse_rejected
-        assert scan.filter_rejected == ref.filter_rejected
-        assert scan.parse_reasons == Counter(row.reason for row in ref.parse_rejected)
-        assert scan.filter_reasons == Counter(reason for _, reason in ref.filter_rejected)
-        counted = RecordScan(_stream(text), policy, demo_table, keep_rejects=False)
-        assert list(counted) == rows
-        assert counted.parse_rejected == counted.filter_rejected == []
-        assert counted.parse_reasons == scan.parse_reasons
-        assert counted.filter_reasons == scan.filter_reasons
-        index = CohortIndex(rows, *ages)
-        buckets = {(year, Sex(sex)): b for (year, sex), b in index._buckets.items()}
-        assert (buckets, index.unresolved) == reference_corpus.cohort_buckets(ref_kept,
-                                                                              *ages)
+        _assert_scan_matches_reference(text, policy, demo_table, ages)
 
         want_out, want_rejects = reference_corpus.ingest(text, policy, demo_table)
         with tempfile.TemporaryDirectory() as tmp:
@@ -534,6 +571,23 @@ class TestMemoizedScanMatchesReference:
             assert main(argv) == 0
             assert out.read_bytes() == want_out.encode("utf-8")
             assert rejects.read_bytes() == want_rejects.encode("utf-8")
+
+    @settings(deadline=None)
+    @given(
+        text=ordered_or_reordered_files(),
+        native=st.booleans(),
+        ages=st.tuples(st.integers(15, 40), st.integers(15, 40)),
+    )
+    # the header's own order: each row is unpacked as read, not reordered
+    @example(
+        text=records_csv(["Mary,F,5,1880,census,Leeds,true", "", "Ann,F,5,1880,census,",
+                          "Ann,F,5,1880,census,,,", "Jane,F,,1880,,,", "Mary,U,,1880,,,",
+                          "Zelda,U,5,1880,census,,", " mrs ,f,40,1880,Census,,"]),
+        native=False, ages=(25, 35),
+    )
+    def test_header_in_record_order_or_not(self, demo_table, text, native, ages):
+        _assert_scan_matches_reference(text, FilterPolicy(require_native_born=native),
+                                       demo_table, ages)
 
     @given(text=record_files(), native=st.booleans())
     def test_memo_keys_are_the_distinct_texts(self, demo_table, text, native):

@@ -1,0 +1,65 @@
+"""perfbench's census fixture as an independent oracle for ``stats``.
+
+``perfbench/fixture.py`` generates the ``census-200k`` record file with numpy
+alone and derives the ``stats`` report and every reject count from the
+generated fields, without importing namestats.  Here it runs on a seed that
+``perfbench/reference_digests.json`` does not record, at the flags of the
+``stats-narrow`` and ``stats-wide`` workloads; the CLI's report bytes and its
+stderr notes must be the fixture's.  perfbench is only read, never changed.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+SEED = 20260811
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench's ``fixture`` and ``workloads`` modules, and the census of ``SEED``."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import fixture
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    census = fixture.census(SEED, fixture.load_table(ROOT / workloads.CODING_TABLE))
+    return fixture, workloads, census
+
+
+def _notes(census) -> list[str]:
+    """The stderr notes of a ``stats`` run on ``census``, from its facts."""
+    parse, filtered = census.facts["parse_rejects"], census.facts["filter_rejects"]
+    counts = sorted((r, n) for r, n in {**parse, **filtered}.items() if n)
+    return [
+        f"note: rejected {sum(parse.values())} rows at parse, "
+        f"{sum(filtered.values())} at filter",
+        "note: rejects by reason: " + " ".join(f"{r}={n}" for r, n in counts),
+        f"note: {int((census.kept_birth < 0).sum())} kept rows have no age and no "
+        "default age for their kind; no cohort counts them",
+    ]
+
+
+@pytest.mark.parametrize("workload", ["stats-narrow", "stats-wide"])
+def test_stats_report_and_notes_are_the_fixtures(bench, tmp_path, workload):
+    fixture, workloads, census = bench
+    records = tmp_path / "census-200k.csv"
+    records.write_text(census.text, encoding="utf-8")
+    argv = workloads.cli_argv(workload, str(records), str(tmp_path), SEED)
+    run = subprocess.run([sys.executable, "-m", "namestats.cli", *argv], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines() == _notes(census)
+
+    jobs = workloads.WORKLOADS[workload]["jobs"]
+    spans = sorted({span for span, _ in jobs})
+    sexes = sorted({sex for _, sex in jobs})
+    want, _ = fixture.stats_report(census, spans, sexes)
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") == want
