@@ -32,14 +32,12 @@ _EXPORTS = {
         "turnover_per_annum",
     ),
     "corpus": (
-        "AgeUnresolvableError",
         "Cohort",
         "CohortSpec",
         "FilterPolicy",
         "NameRecord",
         "ParseError",
         "RecordKind",
-        "assign_birth_year",
         "build_cohort",
         "filter_records",
         "parse_records",

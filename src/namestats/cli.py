@@ -339,6 +339,15 @@ def _index_records(args) -> corpus.CohortIndex:
     return index
 
 
+def _in_place(path: str) -> bool:
+    """True when :func:`_open_output` writes ``path`` in place: it names an
+    existing file other than a regular one, such as /dev/null or a pipe."""
+    try:
+        return not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # nothing there yet, or a path that opening will refuse
+        return False
+
+
 def _open_output(path: str) -> tuple[io.TextIOWrapper, str | None, str]:
     """``path`` opened for writing; the file actually written when that is a
     new one beside ``path`` (else None); and the file ``path`` names.
@@ -350,19 +359,18 @@ def _open_output(path: str) -> tuple[io.TextIOWrapper, str | None, str]:
     target = os.path.realpath(path)
     staged = None
     try:
-        try:
-            mode = os.stat(target).st_mode
-        except FileNotFoundError:
-            mode = None
-        if mode is not None and not stat.S_ISREG(mode):
+        if _in_place(target):
             raw = _File(path, "w", path)
         else:
-            if mode is not None:  # fails where opening it to write would
+            try:
+                perms = stat.S_IMODE(os.stat(target).st_mode)
+            except FileNotFoundError:
+                perms = 0o666
+            else:  # fails where opening it to write would
                 os.close(os.open(target, os.O_WRONLY))
             directory, name = os.path.split(target)
             staged = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-            flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-            fd = os.open(staged, flags, 0o666 if mode is None else stat.S_IMODE(mode))
+            fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, perms)
             raw = _File(fd, "w", path)
     except OSError as exc:
         # named by the path given, not the file opened for it
@@ -584,8 +592,9 @@ def _cmd_simulate(args) -> int:
     header, tail = buf  # a StringIO's lines end only at "\n", as the writer's do
     table = np.fromiter(names, dtype=object, count=len(names))
     del names  # the array is all that is needed of them
+    # the sidecar goes beside a record file, not beside a device or a pipe
     meta_path = None
-    if args.out is not None:
+    if args.out is not None and not _in_place(args.out):
         meta_path = Path(args.out).with_suffix(Path(args.out).suffix + ".meta.json")
     with _outputs(args.out, meta_path) as (out, meta):
         out.write(header)

@@ -6,8 +6,8 @@ The record file is a UTF-8 CSV, with or without a leading byte-order mark
 string for absent optionals).  Malformed rows are collected with a reason
 rather than silently dropped so that sample construction stays auditable.
 
-:func:`iter_records` streams a record file: it maps the header to column
-positions once, then validates each row's fields once and yields a
+:func:`parse_records` reads a record file into lists: it maps the header
+to column positions once, then validates each row's fields once into a
 :class:`NameRecord` or a :class:`RejectedRow`, in input order.
 :class:`RecordScan` does the parse, the inclusion filters and the coding
 table in one pass, but decodes each distinct truncated name and each
@@ -24,9 +24,9 @@ buckets, so memory grows with distinct names times birth years, not with
 rows or rejects.  :func:`index_records` builds a record file's
 CohortIndex with its reject counts by reason, splitting a large file into
 byte ranges at line ends and indexing the ranges in forked child processes
-when asked for more than one worker.  :func:`parse_records` and
-:func:`filter_records` are list forms of :func:`iter_records` and
-:func:`filter_reason`, and :func:`build_cohort` is a one-spec CohortIndex.
+when asked for more than one worker.  :func:`filter_records` is a list
+form of :func:`filter_reason`, and :func:`build_cohort` is a one-spec
+CohortIndex.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ class ParseError(ValueError):
 
 class InvariantError(RuntimeError):
     """A check of the program's own logic failed: a bug, not bad input."""
-
-
-class AgeUnresolvableError(ValueError):
-    """No age and no applicable default: the birth year cannot be assigned."""
 
 
 class RecordKind(Enum):
@@ -306,46 +302,31 @@ def _malformed(row: list[str], columns: list[int], width: int) -> RejectedRow:
     )
 
 
-def _iter_rows(
-    reader, columns: list[int], width: int
-) -> Iterator[NameRecord | RejectedRow]:
+def parse_records(stream: IO[str]) -> ParseResult:
+    """Parse a record CSV: each non-blank row as a record or a reject, in order.
+
+    A row whose field count differs from the header's is rejected as
+    ``malformed_row`` with its unstripped field texts; any other reject
+    keeps the stripped texts.  Raises :class:`ParseError` only for
+    stream-level problems: no header, or the mandatory name/sex/year
+    columns missing.
+    """
+    reader, columns, width = _read_header(stream)
+    records: list[NameRecord] = []
+    rejected: list[RejectedRow] = []
     with _csv_errors(reader):
         for row in reader:
             if len(row) != width:
                 if row:  # a blank line is skipped, not rejected
-                    yield _malformed(row, columns, width)
+                    rejected.append(_malformed(row, columns, width))
                 continue
             row.append("")
             fields = [row[i].strip() for i in columns]
             parsed = _parse_fields(fields)
             if isinstance(parsed, str):
-                yield RejectedRow(dict(zip(RECORD_HEADER, fields)), parsed)
+                rejected.append(RejectedRow(dict(zip(RECORD_HEADER, fields)), parsed))
             else:
-                yield parsed
-
-
-def iter_records(stream: IO[str]) -> Iterator[NameRecord | RejectedRow]:
-    """Stream a record CSV: each non-blank row as a record or a reject, in order.
-
-    A row whose field count differs from the header's is rejected as
-    ``malformed_row`` with its unstripped field texts; any other reject
-    keeps the stripped texts.  The header is read when this function is
-    called, and :class:`ParseError` raised then, for stream-level
-    problems: no header, or the mandatory name/sex/year columns missing.
-    """
-    return _iter_rows(*_read_header(stream))
-
-
-def parse_records(stream: IO[str]) -> ParseResult:
-    """Parse a record CSV; malformed rows land in ``rejected`` with a reason.
-
-    Raises :class:`ParseError` only for stream-level problems: no header,
-    or the mandatory name/sex/year columns missing.
-    """
-    records: list[NameRecord] = []
-    rejected: list[RejectedRow] = []
-    for item in iter_records(stream):
-        (rejected if isinstance(item, RejectedRow) else records).append(item)
+                records.append(parsed)
     return ParseResult(records, rejected)
 
 
@@ -589,19 +570,6 @@ def _birth_year(
     if kind == "adult_roster":
         return year - default_age_adult
     return None
-
-
-def assign_birth_year(record: NameRecord, spec: CohortSpec) -> int:
-    """Birth year from the age field, or from the record kind's default age."""
-    birth_year = _birth_year(record.record_year, record.age, record.record_kind.value,
-                             spec.default_age_marriage, spec.default_age_adult)
-    if birth_year is None:
-        raise AgeUnresolvableError(
-            f"age_unresolvable: {record.record_kind.value} record of "
-            f"{record.raw_name!r} in {record.record_year} has no age and no "
-            f"default applies"
-        )
-    return birth_year
 
 
 def _standardize(record: NameRecord, table: CodingTable) -> tuple[str, Sex]:

@@ -91,6 +91,8 @@ class SimulationConfig:
             raise ValueError("births must be >= 1")
         if self.initial_names < 1:
             raise ValueError("initial_names must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not YEAR_MIN <= self.year <= YEAR_MAX:
             raise ValueError(
                 f"record_year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]"

@@ -10,6 +10,9 @@ writer that the memoized ``corpus.RecordScan`` replaced: one ``NameRecord``
 per row, then truncation, filtering, coding and sex correction.
 ``build_cohort`` is the per-spec scan of every record that
 ``corpus.build_cohort``, now a ``CohortIndex`` over the records, replaced.
+The reference scan parses through ``parse_records`` here, not the corpus
+parser, and ``cohort_buckets`` and ``build_cohort`` assign birth years by
+``birth_year``, the README's rule written out, not the corpus's own.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from namestats.corpus import (
     RECORD_HEADER,
     YEAR_MAX,
     YEAR_MIN,
-    AgeUnresolvableError,
     Cohort,
     CohortSpec,
     FilterPolicy,
@@ -35,9 +37,7 @@ from namestats.corpus import (
     ParseResult,
     RecordKind,
     RejectedRow,
-    assign_birth_year,
     filter_reason,
-    iter_records,
     write_records,
     write_rejection_report,
 )
@@ -173,21 +173,23 @@ def _parse_dicts(reader: csv.DictReader) -> ParseResult:
 
 
 class RecordScan:
-    """Yields ``(record, name, sex)`` for each kept row, collecting rejects."""
+    """Yields ``(record, name, sex)`` for each kept row, collecting rejects.
+
+    The record file is parsed whole on construction, so a stream-level
+    problem raises :class:`ParseError` then.
+    """
 
     def __init__(self, stream: IO[str], policy: FilterPolicy, table: CodingTable):
-        self._items = iter_records(stream)
+        parsed = parse_records(stream)
+        self._records = parsed.records
         self._policy = policy
         self._table = table
-        self.parse_rejected: list[RejectedRow] = []
+        self.parse_rejected: list[RejectedRow] = parsed.rejected
         self.filter_rejected: list[tuple[NameRecord, str]] = []
 
     def __iter__(self) -> Iterator[tuple[NameRecord, str, Sex]]:
         policy, table = self._policy, self._table
-        for item in self._items:
-            if isinstance(item, RejectedRow):
-                self.parse_rejected.append(item)
-                continue
+        for item in self._records:
             letters = leading_letters(item.raw_name)
             reason = filter_reason(item, letters, policy, table)
             if reason is not None:
@@ -195,6 +197,22 @@ class RecordScan:
                 continue
             name = apply_coding(table, letters)
             yield item, name, correct_sex(table, name, item.sex)
+
+
+def birth_year(record: NameRecord, default_age_marriage: int,
+               default_age_adult: int) -> int | None:
+    """README "Processing rules": the record year less the age; with no age,
+    a birth register's year, a marriage's year less the marriage age, an
+    adult roster's year less the adult age, and otherwise none."""
+    if record.age is not None:
+        return record.record_year - record.age
+    if record.record_kind is RecordKind.BIRTH_REGISTER:
+        return record.record_year
+    if record.record_kind is RecordKind.MARRIAGE:
+        return record.record_year - default_age_marriage
+    if record.record_kind is RecordKind.ADULT_ROSTER:
+        return record.record_year - default_age_adult
+    return None
 
 
 def cohort_buckets(
@@ -207,13 +225,11 @@ def cohort_buckets(
     buckets: dict[tuple[int, Sex], dict[str, int]] = {}
     unresolved = 0
     for record, name, sex in kept:
-        spec = CohortSpec(sex, 0, 0, default_age_marriage, default_age_adult)
-        try:
-            birth_year = assign_birth_year(record, spec)
-        except AgeUnresolvableError:
+        year = birth_year(record, default_age_marriage, default_age_adult)
+        if year is None:
             unresolved += 1
             continue
-        bucket = buckets.setdefault((birth_year, sex), {})
+        bucket = buckets.setdefault((year, sex), {})
         bucket[name] = bucket.get(name, 0) + 1
     return buckets, unresolved
 
@@ -238,11 +254,8 @@ def build_cohort(records: Iterable[NameRecord], spec: CohortSpec,
     and whose corrected sex is the spec's; unresolvable birth years are skipped."""
     names: Counter = Counter()
     for record in records:
-        try:
-            birth_year = assign_birth_year(record, spec)
-        except AgeUnresolvableError:
-            continue
-        if not spec.birth_year_start <= birth_year <= spec.birth_year_end:
+        year = birth_year(record, spec.default_age_marriage, spec.default_age_adult)
+        if year is None or not spec.birth_year_start <= year <= spec.birth_year_end:
             continue
         std = apply_coding(table, truncate_name(record.raw_name))
         if correct_sex(table, std, record.sex) is spec.sex:

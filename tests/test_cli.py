@@ -469,6 +469,28 @@ class TestSimulate:
         assert err == f"error: record_year {year} outside [1000, 2100]\n"
         assert os.listdir(tmp_path) == []
 
+    def test_negative_seed_refused_before_simulating(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def refuse(config):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr(synth, "simulate_labels", refuse)
+        code = main(["simulate", "--alpha", "0.1", "--births", "10", "--seed", "-1",
+                     "--out", str(tmp_path / "sim.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_no_sidecar_beside_an_output_written_in_place(self, tmp_path):
+        """--out through a symlink to the null device is written in place,
+        and no .meta.json is written beside it, as none is for stdout."""
+        out = tmp_path / "out.csv"
+        out.symlink_to(os.devnull)
+        assert main(["simulate", "--alpha", "0.2", "--births", "50",
+                     "--out", str(out)]) == 0
+        assert out.is_symlink()
+        assert os.listdir(tmp_path) == ["out.csv"]
+
     def test_year_out_of_range_exit_1(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         code = main(["simulate", "--alpha", "0.1", "--births", "10", "--year", "3000",

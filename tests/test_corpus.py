@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 import namestats
 from namestats import corpus
 from namestats import (
-    AgeUnresolvableError,
     CodingTable,
     Cohort,
     CohortSpec,
@@ -27,7 +27,6 @@ from namestats import (
     RecordKind,
     Sex,
     StandardizationError,
-    assign_birth_year,
     build_cohort,
     filter_records,
     parse_records,
@@ -39,7 +38,6 @@ from namestats.corpus import (
     RECORD_HEADER,
     CohortIndex,
     RecordScan,
-    iter_records,
     record_to_row,
     write_rejection_report,
 )
@@ -196,35 +194,58 @@ class TestFilterRecords:
 SPEC = CohortSpec(Sex.FEMALE, 1800, 1900)
 
 
+def index_of(record: NameRecord, spec: CohortSpec) -> CohortIndex:
+    """The CohortIndex of ``record`` alone for the spec's default ages, read
+    from its record file as the CLI reads one."""
+    buf = io.StringIO()
+    write_records([record], buf)
+    scan = RecordScan(io.StringIO(buf.getvalue()), FilterPolicy(), CodingTable(),
+                      keep_rejects=False)
+    return CohortIndex(scan, spec.default_age_marriage, spec.default_age_adult)
+
+
+def assert_born_in(record: NameRecord, year: int, spec: CohortSpec = SPEC) -> None:
+    """The index counts ``record`` in the one-year cohort of ``year`` and in
+    neither year beside it."""
+    index = index_of(record, spec)
+    assert index.unresolved == 0
+    sizes = [index.cohort(replace(spec, birth_year_start=y, birth_year_end=y)).sample_size
+             for y in (year - 1, year, year + 1)]
+    assert sizes == [0, 1, 0]
+
+
 class TestAssignBirthYear:
+    """The birth year that CohortIndex assigns a record."""
+
     def test_age_subtraction(self):
-        assert assign_birth_year(rec("Mary", year=1880, age=5), SPEC) == 1875
+        assert_born_in(rec("Mary", year=1880, age=5), 1875)
 
     def test_marriage_default(self):
         r = rec("Mary", year=1700, kind=RecordKind.MARRIAGE, age=None)
-        assert assign_birth_year(r, SPEC) == 1675
+        assert_born_in(r, 1675)
 
     def test_adult_roster_default(self):
         r = rec("Mary", year=1700, kind=RecordKind.ADULT_ROSTER, age=None)
-        assert assign_birth_year(r, SPEC) == 1665
+        assert_born_in(r, 1665)
 
     def test_birth_register_uses_record_year(self):
         r = rec("Mary", year=1850, kind=RecordKind.BIRTH_REGISTER, age=None)
-        assert assign_birth_year(r, SPEC) == 1850
+        assert_born_in(r, 1850)
 
     def test_custom_defaults(self):
         spec = CohortSpec(Sex.FEMALE, 1800, 1900, default_age_marriage=27)
         r = rec("Mary", year=1700, kind=RecordKind.MARRIAGE, age=None)
-        assert assign_birth_year(r, spec) == 1673
+        assert_born_in(r, 1673, spec)
 
     @pytest.mark.parametrize("kind", [RecordKind.CENSUS, RecordKind.OTHER])
     def test_unresolvable(self, kind):
-        with pytest.raises(AgeUnresolvableError):
-            assign_birth_year(rec("Mary", year=1880, kind=kind, age=None), SPEC)
+        index = index_of(rec("Mary", year=1880, kind=kind, age=None), SPEC)
+        assert index.unresolved == 1
+        assert index.cohort(CohortSpec(Sex.FEMALE, 0, 3000)).sample_size == 0
 
     def test_age_plus_birth_year_is_record_year(self):
         r = rec("Mary", year=1880, age=37)
-        assert assign_birth_year(r, SPEC) + r.age == r.record_year
+        assert_born_in(r, r.record_year - r.age)
 
 
 class TestBuildCohort:
@@ -402,7 +423,8 @@ class TestStreamingParserMatchesReference:
 
     def test_header_error_raised_before_iteration(self):
         with pytest.raises(ParseError):
-            iter_records(io.StringIO("name,age\n"))
+            RecordScan(io.StringIO("name,age\n"), FilterPolicy(), CodingTable(),
+                       keep_rejects=False)
 
 
 _NAMES = ["Mary", "Maria", "Marion", "Frances", "Polly", "John", "Jno", "Zelda",
@@ -445,12 +467,8 @@ class TestCohortIndex:
         assert scan.filter_rejected == filtered.rejected
         assert scan.parse_reasons == Counter(row.reason for row in parsed.rejected)
         assert scan.filter_reasons == Counter(reason for _, reason in filtered.rejected)
-        unresolved = 0
-        for record in filtered.kept:
-            try:
-                assign_birth_year(record, CohortSpec(Sex.FEMALE, 0, 0, *ages))
-            except AgeUnresolvableError:
-                unresolved += 1
+        unresolved = sum(reference_corpus.birth_year(record, *ages) is None
+                         for record in filtered.kept)
         assert index.unresolved == unresolved
         for start, width in spans:
             for sex in Sex:

@@ -1,13 +1,16 @@
-"""perfbench's census fixture as an independent oracle for ``stats``.
+"""perfbench's census fixture as an independent oracle for ``stats`` and ``fit``.
 
 ``perfbench/fixture.py`` generates the ``census-200k`` record file with numpy
 alone and derives the ``stats`` report and every reject count from the
 generated fields, without importing namestats.  Here it runs on a seed that
 ``perfbench/reference_digests.json`` does not record, at the flags of the
 ``stats-narrow`` and ``stats-wide`` workloads; the CLI's report bytes and its
-stderr notes must be the fixture's.  perfbench is only read, never changed.
+stderr notes must be the fixture's.  The ``fit`` report at the
+``stats-narrow`` flags is checked against a least-squares line computed here
+from the fixture's cohort counts.  perfbench is only read, never changed.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -63,3 +66,41 @@ def test_stats_report_and_notes_are_the_fixtures(bench, tmp_path, workload):
     sexes = sorted({sex for _, sex in jobs})
     want, _ = fixture.stats_report(census, spans, sexes)
     assert (tmp_path / "out.csv").read_text(encoding="utf-8") == want
+
+
+def _fit_report(label: str, sex: str, counts: dict[str, int], min_count: int) -> str:
+    """The ``fit`` CSV report of one cohort: the least-squares line of log2
+    count on log2 rank over the names counted at least ``min_count`` times,
+    ranked by count descending, then name."""
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ys = [math.log2(count) for _, count in ranked if count >= min_count]
+    n = len(ys)
+    xs = [math.log2(rank) for rank in range(1, n + 1)]
+    x_mean, y_mean = math.fsum(xs) / n, math.fsum(ys) / n
+    slope = (math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+             / math.fsum((x - x_mean) ** 2 for x in xs))
+    intercept = y_mean - slope * x_mean
+    ss_res = math.fsum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
+    ss_tot = math.fsum((y - y_mean) ** 2 for y in ys)
+    r2 = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
+    return ("cohort,sex,slope,intercept,r2,points,min_count\n"
+            f"{label},{sex},{slope:.4f},{intercept:.4f},{r2:.4f},{n},{min_count}\n")
+
+
+def test_fit_report_and_notes_are_the_fixtures(bench, tmp_path):
+    fixture, workloads, census = bench
+    records = tmp_path / "census-200k.csv"
+    records.write_text(census.text, encoding="utf-8")
+    narrow = workloads.WORKLOADS["stats-narrow"]
+    ((span, sex),) = narrow["jobs"]
+    out = tmp_path / "out.csv"
+    argv = ["fit", "--out", str(out), "--records", str(records), "--coding-table",
+            workloads.CODING_TABLE, *narrow["flags"], "--min-count", "5"]
+    run = subprocess.run([sys.executable, "-m", "namestats.cli", *argv], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines() == _notes(census)
+    counts = fixture.cohort_counts(census, span, sex)
+    want = _fit_report(f"{span[0]}-{span[1]}", sex, counts, 5)
+    assert out.read_text(encoding="utf-8") == want

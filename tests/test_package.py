@@ -1,5 +1,6 @@
 """The package's names load on first use and are its modules' own objects."""
 
+import ast
 import importlib
 import json
 import os
@@ -20,9 +21,9 @@ EXPORTS = {
         "turnover_per_annum",
     ],
     "corpus": [
-        "AgeUnresolvableError", "Cohort", "CohortSpec", "FilterPolicy", "NameRecord",
-        "ParseError", "RecordKind", "assign_birth_year", "build_cohort",
-        "filter_records", "parse_records", "write_records",
+        "Cohort", "CohortSpec", "FilterPolicy", "NameRecord", "ParseError",
+        "RecordKind", "build_cohort", "filter_records", "parse_records",
+        "write_records",
     ],
     "popstats": [
         "FrequencyTable", "InsufficientDistinctNamesError", "PopularityList",
@@ -85,3 +86,27 @@ def test_import_loads_no_module():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(done.stdout) == ["namestats"]
+
+
+def _perfbench_names() -> list[tuple[str, str]]:
+    """``(module, name)`` for each ``corpus.X`` and ``synth.X`` attribute that
+    perfbench's traced pass reads, and each name it imports from the package."""
+    staged = Path(__file__).resolve().parents[1] / "perfbench" / "staged.py"
+    names = set()
+    for node in ast.walk(ast.parse(staged.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("corpus", "synth")):
+            names.add((f"namestats.{node.value.id}", node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "namestats"):
+            names.update((node.module, alias.name) for alias in node.names)
+    return sorted(names)
+
+
+def test_perfbench_names_exist():
+    """A name the benchmark's traced pass needs is not dropped from the package."""
+    names = _perfbench_names()
+    assert ("namestats.corpus", "parse_records") in names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
