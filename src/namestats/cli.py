@@ -324,14 +324,13 @@ def _scan_records(args):
 
 
 def _index_records(args) -> corpus.CohortIndex:
-    """The cohort index of --records under --coding-table, the filter flags
-    and the default ages, built by up to --threads processes; notes the
-    reject counts and the rows with no birth year."""
+    """The cohort index of --records under --coding-table and the filter
+    flags, built by up to --threads processes; notes the reject counts and
+    the rows with no birth year.  Each cohort's spec brings the default ages."""
     policy, table = _policy_and_table(args)
-    ages = (args.marriage_age, args.adult_age)
     try:
         index, parse_reasons, filter_reasons = corpus.index_records(
-            args.records, policy, table, ages, args.threads
+            args.records, policy, table, args.threads
         )
     except OSError as exc:
         raise CliError(f"cannot read {args.records}: {exc}", EXIT_PARSE) from exc

@@ -17,16 +17,16 @@ kept row costs a few dict lookups and builds no :class:`NameRecord`; a
 rejected row goes through :func:`_parse_fields` and :func:`filter_reason`,
 which name its reason.  The scan counts rejects by reason, and keeps the
 rejected rows themselves only when asked to (the ingest rejection report).
-:class:`CohortIndex` counts the kept rows by (birth year, corrected sex,
-standardized name) in the same pass, and counts the rows with no birth
-year.  Every cohort for the index's default ages is then a sum over year
-buckets, so memory grows with distinct names times birth years, not with
-rows or rejects.  :func:`index_records` builds a record file's
-CohortIndex with its reject counts by reason, splitting a large file into
-byte ranges at line ends and indexing the ranges in forked child processes
-when asked for more than one worker.  :func:`filter_records` is a list
-form of :func:`filter_reason`, and :func:`build_cohort` is a one-spec
-CohortIndex.
+:class:`CohortIndex` counts the kept rows by (year, corrected sex, age
+tag, standardized name) in the same pass, and counts the rows with no birth
+year.  Each :class:`CohortSpec` brings the default ages that it assumes, so
+every cohort is then a sum over year buckets, and memory grows with
+distinct names times years, not with rows or rejects.  :func:`index_records`
+builds a record file's CohortIndex with its reject counts by reason,
+splitting a large file into byte ranges at line ends and indexing the
+ranges in forked child processes when asked for more than one worker.
+:func:`filter_records` is a list form of :func:`filter_reason`, and
+:func:`build_cohort` is a one-spec CohortIndex.
 """
 
 from __future__ import annotations
@@ -551,27 +551,6 @@ class RecordScan:
             self.filter_rejected.append((parsed, reason))
 
 
-def _birth_year(
-    year: int,
-    age: int | None,
-    kind: str,
-    default_age_marriage: int,
-    default_age_adult: int,
-) -> int | None:
-    """Birth year of a record from ``year``: by its age, or else by the default
-    age of its kind (a :class:`RecordKind` value text); None when it has no age
-    and no default applies."""
-    if age is not None:
-        return year - age
-    if kind == "birth_register":
-        return year
-    if kind == "marriage":
-        return year - default_age_marriage
-    if kind == "adult_roster":
-        return year - default_age_adult
-    return None
-
-
 def _standardize(record: NameRecord, table: CodingTable) -> tuple[str, Sex]:
     """The record's standardized name and its sex after coding-table correction."""
     std = apply_coding(table, truncate_name(record.raw_name))
@@ -589,8 +568,8 @@ def build_cohort(
     span and its sex, after coding-table correction, equals the spec's
     sex.  Records whose birth year cannot be resolved can never match a
     span and are skipped.  The result is an order-independent multiset;
-    an empty cohort is returned rather than raised.  This is a
-    :class:`CohortIndex` for the spec's default ages, which standardizes
+    an empty cohort is returned rather than raised.  This is the spec's
+    cohort of a :class:`CohortIndex` of the records, which standardizes
     every record: a name with fewer than two leading letters raises
     :class:`StandardizationError` whatever its birth year.
     """
@@ -600,39 +579,37 @@ def build_cohort(
             # the index reads neither location nor native birth
             yield name, sex.value, r.age, r.record_year, r.record_kind.value, None, None
 
-    index = CohortIndex(rows(), spec.default_age_marriage, spec.default_age_adult)
-    return index.cohort(spec)
+    return CohortIndex(rows()).cohort(spec)
 
 
 class CohortIndex:
-    """Standardized-name counts by birth year and corrected sex.
+    """Standardized-name counts by year, corrected sex and age tag.
 
     Built in one pass over the kept rows, as :class:`RecordScan` yields
-    them, for one pair of default ages.  A cohort whose spec has those
-    defaults is then a sum over the year buckets in its span.  Rows whose
-    birth year cannot be resolved (no age, and kind census or other) are not
-    counted into any bucket; ``unresolved`` is their number.  Buckets are
-    keyed by (birth year, sex code), so counting a row hashes no enum.
+    them; it holds no default ages.  A row with an age, or an age-less birth
+    register, is counted under its birth year with the tag "".  An age-less
+    marriage or adult roster is counted under its record year with its kind
+    as the tag, and :meth:`cohort` applies the spec's default age to it.
+    Age-less census and other rows have no birth year and are not counted
+    into any bucket; ``unresolved`` is their number.  Buckets are keyed by
+    (year, sex code, tag), so counting a row hashes no enum.
     """
 
-    def __init__(
-        self, kept: Iterable[Sequence], default_age_marriage: int, default_age_adult: int
-    ):
-        self.default_ages = (default_age_marriage, default_age_adult)
-        # the birth year of an age-less row of each kind, less its year
-        offsets = {kind.value: _birth_year(0, None, kind.value, *self.default_ages)
-                   for kind in RecordKind}
-        buckets: dict[tuple[int, str], dict[str, int]] = {}
+    def __init__(self, kept: Iterable[Sequence]):
+        # the tag of an age-less row by its kind; None: it has no birth year
+        tags = {"birth_register": "", "marriage": "marriage",
+                "adult_roster": "adult_roster", "census": None, "other": None}
+        buckets: dict[tuple[int, str, str], dict[str, int]] = {}
         unresolved = 0
         for name, sex, age, year, kind, _, _ in kept:
             if age is None:
-                offset = offsets[kind]
-                if offset is None:
+                tag = tags[kind]
+                if tag is None:
                     unresolved += 1
                     continue
-                key = (year + offset, sex)
+                key = (year, sex, tag)
             else:
-                key = (year - age, sex)
+                key = (year - age, sex, "")
             try:
                 bucket = buckets[key]
             except KeyError:
@@ -642,26 +619,20 @@ class CohortIndex:
         self.unresolved = unresolved
 
     def cohort(self, spec: CohortSpec) -> Cohort:
-        """The cohort for ``spec``; its default ages must be the index's."""
-        ages = (spec.default_age_marriage, spec.default_age_adult)
-        if ages != self.default_ages:
-            raise ValueError(
-                f"spec default ages {ages} differ from the index's {self.default_ages}"
-            )
+        """The cohort for ``spec``.  A bucket's birth year is its year less
+        the spec's default age for its tag: the marriage age for
+        "marriage", the adult age for "adult_roster", and 0 for ""."""
+        ages = {"": 0, "marriage": spec.default_age_marriage,
+                "adult_roster": spec.default_age_adult}
+        code, start, end = spec.sex.value, spec.birth_year_start, spec.birth_year_end
         names: Counter = Counter()
-        for (birth_year, sex), bucket in self._buckets.items():
-            if sex == spec.sex.value and (
-                spec.birth_year_start <= birth_year <= spec.birth_year_end
-            ):
+        for (year, sex, tag), bucket in self._buckets.items():
+            if sex == code and start <= year - ages[tag] <= end:
                 names.update(bucket)
         return Cohort(spec, names)
 
     def merge(self, other: CohortIndex) -> None:
         """Add the counts of ``other``, an index of other rows, to this one."""
-        if other.default_ages != self.default_ages:
-            raise ValueError(
-                f"index default ages {other.default_ages} differ from {self.default_ages}"
-            )
         for key, counts in other._buckets.items():
             bucket = self._buckets.setdefault(key, {})
             for name, count in counts.items():
@@ -767,12 +738,12 @@ def text_input(raw: io.RawIOBase) -> io.TextIOWrapper:
 
 
 def _index_raw(
-    raw: io.RawIOBase, policy: FilterPolicy, table: CodingTable, ages: tuple[int, int]
+    raw: io.RawIOBase, policy: FilterPolicy, table: CodingTable
 ) -> tuple[CohortIndex, Counter, Counter]:
     """The :class:`CohortIndex` of a raw record stream's kept rows, and its
     parse and filter reject counts by reason."""
     scan = RecordScan(text_input(raw), policy, table, keep_rejects=False)
-    index = CohortIndex(scan, *ages)
+    index = CohortIndex(scan)
     return index, scan.parse_reasons, scan.filter_reasons
 
 
@@ -781,7 +752,6 @@ def _index_ranges(
     bounds: list[int],
     policy: FilterPolicy,
     table: CodingTable,
-    ages: tuple[int, int],
 ) -> tuple[CohortIndex, Counter, Counter] | None:
     """:func:`_index_raw` summed over the file's ranges, or None when any fails.
 
@@ -800,7 +770,7 @@ def _index_ranges(
     def index_range(i: int) -> tuple[CohortIndex, Counter, Counter]:
         span = (bounds[i], bounds[i + 1])
         return _index_raw(_Spans(fd, [span] if i == 0 else [header, span]),
-                          policy, table, ages)
+                          policy, table)
 
     pids, pipes = [], []
     try:
@@ -852,13 +822,12 @@ def index_records(
     path: str,
     policy: FilterPolicy,
     table: CodingTable,
-    ages: tuple[int, int],
     workers: int = 1,
 ) -> tuple[CohortIndex, Counter, Counter]:
     """The :class:`CohortIndex` of the kept rows of the record file at
-    ``path`` for default ages ``ages`` (marriage, adult), with its parse and
-    filter reject counts by reason, as :class:`Counter` objects.  No reject
-    row is kept.
+    ``path``, which gives the cohort of a spec at any default ages, with its
+    parse and filter reject counts by reason, as :class:`Counter` objects.
+    No reject row is kept.
 
     With ``workers`` above 1, a large regular file whose every line is one
     record (no quote, no lone CR) is split at line ends into up to
@@ -872,10 +841,10 @@ def index_records(
     with io.FileIO(path) as raw:
         bounds = _range_bounds(raw.fileno(), workers)
         if bounds:
-            done = _index_ranges(raw.fileno(), bounds, policy, table, ages)
+            done = _index_ranges(raw.fileno(), bounds, policy, table)
             if done is not None:
                 return done
-        return _index_raw(raw, policy, table, ages)
+        return _index_raw(raw, policy, table)
 
 
 def standardized_record(record: NameRecord, table: CodingTable) -> NameRecord:

@@ -94,14 +94,18 @@ def fit_ranked_frequencies(
     if any(f <= 0 for f in frequencies):
         raise ValueError("frequencies must be positive")
     x = [math.log2(j) for j in range(1, n + 1)]
-    y = [math.log2(f) for f in frequencies]
+    # log2 of each frequency over the first, which keeps the digits of
+    # near-tied frequencies at any scale, where log2(f) near 2**-998 would
+    # round them away; it is exactly 0 for a frequency equal to the first
+    first = frequencies[0]
+    r = [math.log2(f / first) for f in frequencies]
     x_mean = math.fsum(x) / n
-    y_mean = y[0] + math.fsum(v - y[0] for v in y) / n  # exact for a constant y
+    r_mean = math.fsum(r) / n
     dx = [v - x_mean for v in x]
-    dy = [v - y_mean for v in y]
+    dy = [v - r_mean for v in r]
     slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
-    intercept = y_mean - slope * x_mean
-    ss_res = math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(x, y))
+    intercept = math.log2(first) + r_mean - slope * x_mean
+    ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
     ss_tot = math.fsum(b * b for b in dy)
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res < 1e-18 else 0.0

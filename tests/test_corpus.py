@@ -34,8 +34,11 @@ from namestats import (
 )
 from namestats.cli import main
 from namestats.corpus import (
+    AGE_MAX,
     DEFAULT_GENERIC_NAMES,
     RECORD_HEADER,
+    YEAR_MAX,
+    YEAR_MIN,
     CohortIndex,
     RecordScan,
     record_to_row,
@@ -194,20 +197,20 @@ class TestFilterRecords:
 SPEC = CohortSpec(Sex.FEMALE, 1800, 1900)
 
 
-def index_of(record: NameRecord, spec: CohortSpec) -> CohortIndex:
-    """The CohortIndex of ``record`` alone for the spec's default ages, read
-    from its record file as the CLI reads one."""
+def index_of(*records: NameRecord) -> CohortIndex:
+    """The CohortIndex of ``records``, read from their record file as the
+    CLI reads one."""
     buf = io.StringIO()
-    write_records([record], buf)
+    write_records(records, buf)
     scan = RecordScan(io.StringIO(buf.getvalue()), FilterPolicy(), CodingTable(),
                       keep_rejects=False)
-    return CohortIndex(scan, spec.default_age_marriage, spec.default_age_adult)
+    return CohortIndex(scan)
 
 
 def assert_born_in(record: NameRecord, year: int, spec: CohortSpec = SPEC) -> None:
-    """The index counts ``record`` in the one-year cohort of ``year`` and in
-    neither year beside it."""
-    index = index_of(record, spec)
+    """The index counts ``record`` in the spec's one-year cohort of ``year``
+    and in neither year beside it."""
+    index = index_of(record)
     assert index.unresolved == 0
     sizes = [index.cohort(replace(spec, birth_year_start=y, birth_year_end=y)).sample_size
              for y in (year - 1, year, year + 1)]
@@ -239,13 +242,30 @@ class TestAssignBirthYear:
 
     @pytest.mark.parametrize("kind", [RecordKind.CENSUS, RecordKind.OTHER])
     def test_unresolvable(self, kind):
-        index = index_of(rec("Mary", year=1880, kind=kind, age=None), SPEC)
+        index = index_of(rec("Mary", year=1880, kind=kind, age=None))
         assert index.unresolved == 1
         assert index.cohort(CohortSpec(Sex.FEMALE, 0, 3000)).sample_size == 0
 
     def test_age_plus_birth_year_is_record_year(self):
         r = rec("Mary", year=1880, age=37)
         assert_born_in(r, r.record_year - r.age)
+
+    @pytest.mark.parametrize("ages", [(25, 35), (20, 41), (30, 30)])
+    @pytest.mark.parametrize("kind", [RecordKind.MARRIAGE, RecordKind.ADULT_ROSTER,
+                                      RecordKind.BIRTH_REGISTER])
+    def test_ageless_on_span_edges(self, kind, ages):
+        """An age-less record born in a span's first or last year is in its
+        cohort, and one born a year before or after the span is not, at the
+        spec's default ages."""
+        start, end = 1850, 1869
+        assumed = {RecordKind.MARRIAGE: ages[0], RecordKind.ADULT_ROSTER: ages[1]}
+        born = {"Ann": start - 1, "Mary": start, "Sarah": end, "Jane": end + 1}
+        records = [rec(name, year=year + assumed.get(kind, 0), kind=kind, age=None)
+                   for name, year in born.items()]
+        spec = CohortSpec(Sex.FEMALE, start, end, *ages)
+        want = {"MARY": 1, "SARAH": 1}
+        assert index_of(*records).cohort(spec).names == want
+        assert build_cohort(records, spec, CodingTable()).names == want
 
 
 class TestBuildCohort:
@@ -462,7 +482,7 @@ class TestCohortIndex:
         filtered = filter_records(parsed.records, policy, demo_table)
 
         scan = RecordScan(io.StringIO(text), policy, demo_table, keep_rejects=True)
-        index = CohortIndex(scan, *ages)
+        index = CohortIndex(scan)
         assert scan.parse_rejected == parsed.rejected
         assert scan.filter_rejected == filtered.rejected
         assert scan.parse_reasons == Counter(row.reason for row in parsed.rejected)
@@ -477,12 +497,27 @@ class TestCohortIndex:
                 assert index.cohort(spec) == want
                 assert build_cohort(filtered.kept, spec, demo_table) == want
 
-    def test_other_default_ages_rejected(self):
-        index = CohortIndex([], default_age_marriage=25, default_age_adult=35)
-        with pytest.raises(ValueError, match="default ages"):
-            index.cohort(CohortSpec(Sex.FEMALE, 1870, 1879, default_age_marriage=27))
-        with pytest.raises(ValueError, match="default ages"):
-            index.merge(CohortIndex([], default_age_marriage=27, default_age_adult=35))
+    @settings(max_examples=60)
+    @given(
+        records=st.lists(name_records(), max_size=40),
+        ages=st.lists(st.tuples(st.integers(15, 40), st.integers(15, 40)),
+                      min_size=2, max_size=5),
+        span=st.tuples(st.integers(1840, 1895), st.integers(0, 30)),
+    )
+    def test_one_index_serves_specs_with_other_ages(self, demo_table, records, ages,
+                                                    span):
+        buf = io.StringIO()
+        write_records(records, buf)
+        scan = RecordScan(io.StringIO(buf.getvalue()), FilterPolicy(), demo_table,
+                          keep_rejects=False)
+        index = CohortIndex(scan)
+        kept = filter_records(records, FilterPolicy(), demo_table).kept
+        start, width = span
+        for pair in ages:
+            for sex in Sex:
+                spec = CohortSpec(sex, start, start + width, *pair)
+                want = reference_corpus.build_cohort(kept, spec, demo_table)
+                assert index.cohort(spec) == want
 
 
 DEMO_TABLE = Path(namestats.__file__).parent / "data" / "demo_coding.csv"
@@ -496,7 +531,9 @@ def _stream(text: str) -> io.StringIO:
 def _assert_scan_matches_reference(text, policy, table, ages):
     """The scan of ``text``, with and without ``keep_rejects``, gives the kept
     rows, the rejects and their counts by reason of the reference scan, and
-    its rows the reference's cohort buckets for default ages ``ages``."""
+    the index of its rows at default ages ``ages`` the reference's one-year
+    cohorts, the reference's total over all birth years, and its count of
+    rows with no birth year."""
     ref = reference_corpus.RecordScan(_stream(text), policy, table)
     ref_kept = list(ref)
     scan = RecordScan(_stream(text), policy, table, keep_rejects=True)
@@ -516,9 +553,18 @@ def _assert_scan_matches_reference(text, policy, table, ages):
     assert counted.parse_rejected == counted.filter_rejected == []
     assert counted.parse_reasons == scan.parse_reasons
     assert counted.filter_reasons == scan.filter_reasons
-    index = CohortIndex(rows, *ages)
-    buckets = {(year, Sex(sex)): b for (year, sex), b in index._buckets.items()}
-    assert (buckets, index.unresolved) == reference_corpus.cohort_buckets(ref_kept, *ages)
+    index = CohortIndex(rows)
+    buckets, unresolved = reference_corpus.cohort_buckets(ref_kept, *ages)
+    assert index.unresolved == unresolved
+    for (year, sex), names in buckets.items():
+        assert index.cohort(CohortSpec(sex, year, year, *ages)).names == names
+    for sex in Sex:
+        total = Counter()
+        for (_, bucket_sex), names in buckets.items():
+            if bucket_sex is sex:
+                total.update(names)
+        every_year = CohortSpec(sex, YEAR_MIN - AGE_MAX, YEAR_MAX, *ages)
+        assert index.cohort(every_year).names == total
 
 
 @st.composite
@@ -711,12 +757,12 @@ def _passes(fail=None):
         yield calls
 
 
-def _indexed(path, policy, table, ages, workers):
+def _indexed(path, policy, table, workers):
     """The index's buckets and unresolved count with the reject counts by
     reason, or the error it raised."""
     try:
         index, parse_reasons, filter_reasons = corpus.index_records(
-            str(path), policy, table, ages, workers
+            str(path), policy, table, workers
         )
     except (ParseError, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc)
@@ -732,17 +778,15 @@ class TestIndexRecords:
         workers=st.integers(2, 6),
         native=st.booleans(),
         generic=st.lists(st.sampled_from(["Mary", "zelda", " Ann", "Widow"]), max_size=2),
-        ages=st.tuples(st.integers(15, 40), st.integers(15, 40)),
         spoil=st.sampled_from([None, None, '"', "\r"]),
         at=st.floats(0, 1),
         read_bytes=st.integers(1, 8),
     )
     # a lone CR ends the header record before the header line's LF
     @example(text="name,sex,age,year\rMary,F,5,1880\nAnn,F,5,1880\nJane,F,5,1880\n",
-             workers=2, native=False, generic=[], ages=(25, 35), spoil=None, at=0.0,
-             read_bytes=4)
+             workers=2, native=False, generic=[], spoil=None, at=0.0, read_bytes=4)
     def test_ranges_equal_one_pass(self, demo_table, text, workers, native, generic,
-                                   ages, spoil, at, read_bytes):
+                                   spoil, at, read_bytes):
         if spoil is not None:  # a quote, or a CR with no LF after it
             i = int(at * len(text))
             text = text[:i] + spoil + "x" + text[i:]
@@ -751,12 +795,12 @@ class TestIndexRecords:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "r.csv"
             path.write_bytes(text.encode("utf-8"))
-            want = _indexed(path, policy, demo_table, ages, 1)
+            want = _indexed(path, policy, demo_table, 1)
             # reads of a few bytes put CRLFs and line ends across read boundaries
             with _forks(cpus=6) as calls, _passes() as passes, \
                     pytest.MonkeyPatch.context() as mp:
                 mp.setattr(corpus, "_READ_BYTES", read_bytes)
-                got = _indexed(path, policy, demo_table, ages, workers)
+                got = _indexed(path, policy, demo_table, workers)
                 with open(path, "rb") as fh:
                     splittable = corpus._splittable(fh.fileno(), len(text.encode()))
                     bounds = corpus._range_bounds(fh.fileno(), workers)
@@ -777,7 +821,7 @@ class TestIndexRecords:
         path.write_text(records_csv([f"{name},F,{age},1890,census,,"
                                      for age in range(40) for name in _NAMES] * 20),
                         encoding="utf-8")
-        args = (path, FilterPolicy(), demo_table, (25, 35))
+        args = (path, FilterPolicy(), demo_table)
         want = _indexed(*args, 1)
         with _forks() as calls:
             assert _indexed(*args, 100_000) == want
@@ -788,7 +832,7 @@ class TestIndexRecords:
     def test_failed_child_falls_back_to_one_pass(self, demo_table, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(records_csv(["Mary,F,5,1880,census,,"] * 200), encoding="utf-8")
-        args = (path, FilterPolicy(), demo_table, (25, 35))
+        args = (path, FilterPolicy(), demo_table)
         want = _indexed(*args, 1)
         with _forks(cpus=3) as calls, _passes(fail=RuntimeError("child fails")) as passes:
             assert _indexed(*args, 3) == want
@@ -809,7 +853,7 @@ class TestIndexRecords:
         with _forks(cpus=3) as calls, pytest.MonkeyPatch.context() as mp:
             mp.setattr(corpus, "_index_raw", interrupted_here)
             with pytest.raises(KeyboardInterrupt):
-                _indexed(path, FilterPolicy(), demo_table, (25, 35), 3)
+                _indexed(path, FilterPolicy(), demo_table, 3)
         assert len(calls) == 2
         assert _waited_all()
 
@@ -827,7 +871,7 @@ class TestIndexRecords:
             tracemalloc.start()
             try:
                 _, parse_reasons, filter_reasons = corpus.index_records(
-                    str(path), FilterPolicy(), demo_table, (25, 35))
+                    str(path), FilterPolicy(), demo_table)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -88,25 +89,53 @@ def test_import_loads_no_module():
     assert json.loads(done.stdout) == ["namestats"]
 
 
-def _perfbench_names() -> list[tuple[str, str]]:
-    """``(module, name)`` for each ``corpus.X`` and ``synth.X`` attribute that
-    perfbench's traced pass reads, and each name it imports from the package."""
+def _perfbench_uses() -> tuple[set[tuple[str, str]], set[tuple]]:
+    """What perfbench's traced pass uses of the package: ``(module, name)`` for
+    each ``corpus.X``, ``synth.X`` and ``reports.X`` attribute it reads and
+    each name it imports from the package, and ``(module, name, positional
+    count, keyword names)`` for each call of one of them."""
     staged = Path(__file__).resolve().parents[1] / "perfbench" / "staged.py"
-    names = set()
-    for node in ast.walk(ast.parse(staged.read_text(encoding="utf-8"))):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in ("corpus", "synth")):
-            names.add((f"namestats.{node.value.id}", node.attr))
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+    tree = ast.parse(staged.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
                 "namestats"):
-            names.update((node.module, alias.name) for alias in node.names)
-    return sorted(names)
+            imported.update((alias.asname or alias.name, (node.module, alias.name))
+                            for alias in node.names)
+
+    def used(node: ast.AST) -> tuple[str, str] | None:
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("corpus", "synth", "reports")):
+            return f"namestats.{node.value.id}", node.attr
+        if isinstance(node, ast.Name):
+            return imported.get(node.id)
+        return None
+
+    names, calls = set(imported.values()), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (name := used(node)):
+            names.add(name)
+        elif isinstance(node, ast.Call) and (callee := used(node.func)):
+            keywords = tuple(keyword.arg for keyword in node.keywords)
+            calls.add((*callee, len(node.args), keywords))
+    return names, calls
 
 
 def test_perfbench_names_exist():
-    """A name the benchmark's traced pass needs is not dropped from the package."""
-    names = _perfbench_names()
+    """A name the benchmark's traced pass needs is not dropped from the
+    package, and each of its calls still binds to the callee's signature."""
+    names, calls = _perfbench_uses()
     assert ("namestats.corpus", "parse_records") in names
-    missing = [f"{module}.{name}" for module, name in names
+    assert ("namestats.corpus", "build_cohort", 3, ()) in calls
+    missing = [f"{module}.{name}" for module, name in sorted(names)
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+    unbound = []
+    for module, name, positional, keywords in sorted(calls):
+        callee = getattr(importlib.import_module(module), name)
+        try:
+            inspect.signature(callee).bind(*[None] * positional,
+                                           **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{module}.{name}: {exc}")
+    assert unbound == []
