@@ -26,8 +26,9 @@ is any file when a range fails, so errors are those of --threads 1.
 ingest, stats, comm and fit read the record file in one streaming pass
 that decodes each distinct field text once and each kept row by table
 lookups (see corpus.RecordScan).  Each counts the rejects by reason, and
-only ingest --rejects keeps the rejected rows.  ingest writes each kept row
-to --out as the pass reaches it; the others count each row into a
+only ingest --rejects keeps the rejected rows.  ingest writes the kept rows
+to --out as the pass reaches them, each batch of 1,024 rows joined into one
+text and one write (see corpus.write_rows); the others count each row into a
 birth-year cohort index, so memory grows with distinct names times birth
 years, not with rows or rejects, and every cohort is then read from the
 index.  A run with rejects notes on stderr "note: rejected P rows at
@@ -586,7 +587,7 @@ def _cmd_simulate(args) -> int:
     # a list for every birth
     buf = io.StringIO()
     corpus.write_rows([("", config.sex.value, None, config.year,
-                        RecordKind.BIRTH_REGISTER.value, None, None)], buf)
+                        RecordKind.BIRTH_REGISTER.value, "", "")], buf)
     buf.seek(0)
     header, tail = buf  # a StringIO's lines end only at "\n", as the writer's do
     table = np.fromiter(names, dtype=object, count=len(names))

@@ -40,6 +40,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from operator import attrgetter, itemgetter
 from stat import S_ISREG
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -874,16 +875,51 @@ def record_to_row(record: NameRecord) -> list[str]:
     ]
 
 
-def write_rows(rows: Iterable[Sequence[str]], stream: IO[str]) -> None:
-    """Write field-text rows in ``RECORD_HEADER`` order as a record file."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(RECORD_HEADER)
-    writer.writerows(rows)
+# rows joined into one text per write by write_rows
+_WRITE_BATCH = 1 << 10
+
+
+def _field(text: str) -> str:
+    """``text`` as one CSV field: in quotes, each ``"`` doubled, when it holds
+    a comma, a quote, an LF or a CR, and as it is otherwise.
+
+    That is the csv module's minimal quoting, plus the CR, which its writer
+    leaves bare under an LF line end, though its reader ends a record there.
+    """
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _line(fields: Iterable[str]) -> str:
+    """A CSV line of field texts, each quoted as :func:`_field` quotes it."""
+    return ",".join(map(_field, fields)) + "\n"
+
+
+def write_rows(rows: Iterable[Sequence], stream: IO[str]) -> None:
+    """Write standardized record rows, as :class:`RecordScan` yields them, as
+    a record file.
+
+    Of such a row's values only the location can need quotes: the name is
+    letters, the sex, kind and native-born texts come from fixed sets, and
+    the age (or None) and the year are ints.  So each row is one f-string,
+    and each ``_WRITE_BATCH`` rows are joined into one write.
+    """
+    stream.write(_line(RECORD_HEADER))
+    rows = iter(rows)
+    while batch := [
+        f"{name},{sex},{'' if age is None else age},{year},{kind},{_field(location)},"
+        f"{native}\n"
+        for name, sex, age, year, kind, location, native in islice(rows, _WRITE_BATCH)
+    ]:
+        stream.write("".join(batch))
 
 
 def write_records(records: Iterable[NameRecord], stream: IO[str]) -> None:
-    """Write records in the standard record-file format."""
-    write_rows(map(record_to_row, records), stream)
+    """Write records in the standard record-file format, quoting any field,
+    such as a raw name, that holds a comma, a quote, an LF or a CR."""
+    stream.write(_line(RECORD_HEADER))
+    stream.writelines(map(_line, map(record_to_row, records)))
 
 
 def write_rejection_report(
@@ -891,10 +927,11 @@ def write_rejection_report(
     filter_rejects: Iterable[tuple[NameRecord, str]],
     stream: IO[str],
 ) -> None:
-    """Rejection report: the record format plus a trailing reason column."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(REJECT_HEADER)
+    """Rejection report: the record format plus a trailing reason column.
+    A rejected row keeps its raw texts, so every field is quoted as needed."""
+    stream.write(_line(REJECT_HEADER))
     for row in parse_rejects:
-        writer.writerow([row.fields.get(col, "") for col in RECORD_HEADER] + [row.reason])
+        stream.write(_line([row.fields.get(col, "") for col in RECORD_HEADER]
+                           + [row.reason]))
     for record, reason in filter_rejects:
-        writer.writerow(record_to_row(record) + [reason])
+        stream.write(_line(record_to_row(record) + [reason]))

@@ -9,10 +9,10 @@ rounded half away from zero.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from typing import TYPE_CHECKING, Sequence
+
+from .corpus import _line
 
 if TYPE_CHECKING:
     from .commstats import CommResult
@@ -57,11 +57,7 @@ def fmt_bits4(x: float) -> str:
 
 def _emit(header: Sequence[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
+        return "".join(map(_line, [header, *rows]))
     if fmt == "markdown":
         lines = [
             "| " + " | ".join(header) + " |",

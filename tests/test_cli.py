@@ -531,6 +531,29 @@ class TestIngest:
         assert reasons == ["bad_age", "generic", "single_letter"]
 
 
+    def test_cr_in_a_field_round_trips(self, tmp_path):
+        """A CR inside a quoted field, of a kept row or a rejected one, is
+        written in quotes, so both outputs read back as the rows they hold,
+        and ingesting --out again gives the same rows and no reject."""
+        src = tmp_path / "raw.csv"
+        src.write_text(records_csv(['Mary,F,20,1880,census,"Old\rTown",true',
+                                    '"Ma\rry",F,150,1880,census,"Lee\rds",']),
+                       encoding="utf-8", newline="")
+        out, rejects, again, none = (
+            tmp_path / n for n in ("out.csv", "rej.csv", "again.csv", "none.csv"))
+        for records, target, report in ((src, out, rejects), (out, again, none)):
+            assert main(["ingest", "--records", str(records), "--coding-table", DEMO_TABLE,
+                         "--out", str(target), "--rejects", str(report)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+        with open(out, encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh)) == [
+                list(RECORD_HEADER), ["MARY", "F", "20", "1880", "census", "Old\rTown", "true"]]
+        with open(rejects, encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [
+                ["Ma\rry", "F", "150", "1880", "census", "Lee\rds", "", "bad_age"]]
+        assert none.read_text(encoding="utf-8") == ",".join(corpus.REJECT_HEADER) + "\n"
+
+
 class TestNotes:
     """The stderr notes: reject totals, each reason's count, and the kept
     rows that no cohort counts."""

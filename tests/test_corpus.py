@@ -10,6 +10,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,12 +38,15 @@ from namestats.corpus import (
     AGE_MAX,
     DEFAULT_GENERIC_NAMES,
     RECORD_HEADER,
+    REJECT_HEADER,
     YEAR_MAX,
     YEAR_MIN,
     CohortIndex,
     RecordScan,
+    RejectedRow,
     record_to_row,
     write_rejection_report,
+    write_rows,
 )
 from namestats.standardize import leading_letters
 
@@ -342,6 +346,105 @@ class TestRecordIO:
         assert lines[0] == "name,sex,age,year,kind,location,native_born,reason"
         assert lines[1].endswith("bad_age")
         assert lines[2].endswith("single_letter")
+
+
+# field texts: the characters that need quotes, blanks, non-ASCII letters,
+# and any other character but NUL, which Python 3.10's csv reader refuses
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(',"\r\n \t\u00e9\u00df\u0141'),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    ),
+    max_size=8,
+)
+_RAW_RECORDS = st.builds(
+    NameRecord,
+    raw_name=_TEXT,
+    sex=st.sampled_from(list(Sex)),
+    record_year=st.integers(YEAR_MIN, YEAR_MAX),
+    record_kind=st.sampled_from(list(RecordKind)),
+    age=st.none() | st.integers(0, AGE_MAX),
+    location=st.none() | _TEXT,
+    native_born=st.sampled_from([None, True, False]),
+)
+# rows as RecordScan yields them: only the location is free text
+_STANDARDIZED_ROWS = st.tuples(
+    st.text(alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Lo")),
+            min_size=2, max_size=8),
+    st.sampled_from(["F", "M"]),
+    st.none() | st.integers(0, AGE_MAX),
+    st.integers(YEAR_MIN, YEAR_MAX),
+    st.sampled_from([kind.value for kind in RecordKind]),
+    _TEXT,
+    st.sampled_from(["", "true", "false"]),
+)
+
+
+def _texts(row) -> list[str]:
+    """A row's values as the csv module writes them: None empty, an int in digits."""
+    return ["" if value is None else str(value) for value in row]
+
+
+def _assert_written_as_csv_module(text: str, rows) -> None:
+    """``text``, a writer's output for ``rows`` (the header first), is the csv
+    module's when no value holds a CR, and its reader reads back each row's
+    texts; its writer leaves a CR bare, where its reader ends a record."""
+    texts = [_texts(row) for row in rows]
+    if not any("\r" in value for row in texts for value in row):
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(rows)
+        assert text == want.getvalue()
+    assert list(csv.reader(io.StringIO(text, newline=""))) == texts
+
+
+class TestWritersMatchCsvModule:
+    """The one field rule of the record writers, against the csv module."""
+
+    # two fields or more: no writer writes a row of one field, which the csv
+    # module quotes when it is empty so that it is not a blank line
+    @given(st.lists(st.lists(_TEXT | st.integers() | st.none(), min_size=2, max_size=8),
+                    max_size=6))
+    def test_lines(self, rows):
+        _assert_written_as_csv_module(
+            "".join(corpus._line(_texts(row)) for row in rows), rows)
+
+    @given(rows=st.lists(_STANDARDIZED_ROWS, max_size=12), batch=st.integers(1, 4))
+    @example(rows=[("MARY", "F", 20, 1880, "census", "Old\rTown", "true"),
+                   ("ANN", "F", None, 1880, "marriage", 'The "Old" Mill, York', "")],
+             batch=1)
+    def test_standardized_rows(self, rows, batch):
+        buf = io.StringIO()
+        with mock.patch.object(corpus, "_WRITE_BATCH", batch):
+            write_rows(rows, buf)
+        _assert_written_as_csv_module(buf.getvalue(), [RECORD_HEADER, *rows])
+
+    @given(st.lists(_RAW_RECORDS, max_size=8))
+    @example([NameRecord('Smith, "Mary"', Sex.FEMALE, 1880, location="Old\rTown")])
+    def test_records_with_raw_names(self, records):
+        buf = io.StringIO()
+        write_records(records, buf)
+        _assert_written_as_csv_module(
+            buf.getvalue(), [RECORD_HEADER, *map(record_to_row, records)])
+
+    @given(
+        parse_rejects=st.lists(st.tuples(st.lists(_TEXT, min_size=7, max_size=7),
+                                         st.sampled_from(["malformed_row", "bad_age"])),
+                               max_size=6),
+        filter_rejects=st.lists(st.tuples(_RAW_RECORDS,
+                                          st.sampled_from(["generic", "single_letter"])),
+                                max_size=6),
+    )
+    def test_rejection_report(self, parse_rejects, filter_rejects):
+        buf = io.StringIO()
+        write_rejection_report(
+            [RejectedRow(dict(zip(RECORD_HEADER, texts)), reason)
+             for texts, reason in parse_rejects],
+            filter_rejects, buf)
+        _assert_written_as_csv_module(buf.getvalue(), [
+            REJECT_HEADER,
+            *([*texts, reason] for texts, reason in parse_rejects),
+            *([*record_to_row(record), reason] for record, reason in filter_rejects),
+        ])
 
 
 class TestInvariants:
@@ -670,6 +773,35 @@ class TestMemoizedScanMatchesReference:
             if col == "name":
                 texts = set(map(leading_letters, texts))
             assert set(memo) == texts
+
+
+class TestIngestIsIdempotent:
+    """ingest's --out, ingested again under the same table and filters, is
+    written again byte for byte and rejects no row: a kept row's values are
+    canonical, the table's canonicals are fixed points, none of them is a
+    generic name, and a field that needs quotes is quoted."""
+
+    @settings(deadline=None)
+    @given(text=st.one_of(record_files(), ordered_or_reordered_files()),
+           native=st.booleans())
+    @example(
+        text=records_csv(['Maria,F,5,1880,census,"York, N.Y.",true',
+                          ' ann ,f,,1880,Marriage," The ""Old"" Mill ",yes',
+                          'Mary,F,20,1880,census,"Old\rTown",1']),
+        native=True,
+    )
+    def test_out_reads_back_as_itself(self, text, native):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out, again, rejects = (
+                Path(tmp) / n for n in ("in.csv", "out.csv", "again.csv", "rej.csv"))
+            src.write_text(text, encoding="utf-8", newline="")
+            for records, target in ((src, out), (out, again)):
+                argv = ["ingest", "--records", str(records),
+                        "--coding-table", str(DEMO_TABLE),
+                        "--out", str(target), "--rejects", str(rejects)]
+                assert main(argv + ["--require-native-born"] * native) == 0
+            assert again.read_bytes() == out.read_bytes()
+            assert rejects.read_text(encoding="utf-8") == ",".join(REJECT_HEADER) + "\n"
 
 
 # cell texts with no quote and no CR: every line end is a record end

@@ -96,8 +96,12 @@ def test_comm_from_pair_at_extremes(data, k, total2, total1):
 @given(st.lists(st.integers(1, 10**6), min_size=3, max_size=60), TOTALS,
        st.one_of(st.just(0.0), st.floats(-3.0, -0.1)))
 # near-tied counts near 1e-300, where log2 of each frequency lost the digits
-# of their differences
+# of their differences; the same at the largest total, and a 60-point
+# near-tied series at both ends
 @example([82495, 82492, 82492], 1e-300, 0.0)
+@example([82495, 82492, 82492], 1 + 1e-12, 0.0)
+@example([10**6] * 30 + [10**6 - 1] * 30, 1e-300, -3.0)
+@example([10**6] * 30 + [10**6 - 1] * 30, 1 + 1e-12, -0.1)
 def test_fit_at_extreme_scales(counts, total, exponent):
     """A line fit through popularities scaled to ``total`` has the slope and
     R^2 of the unscaled counts, and an intercept moved by log2 of the scale."""
