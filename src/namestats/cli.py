@@ -26,9 +26,11 @@ is any file when a range fails, so errors are those of --threads 1.
 ingest, stats, comm and fit read the record file in one streaming pass
 that decodes each distinct field text once and each kept row by table
 lookups (see corpus.RecordScan).  Each counts the rejects by reason, and
-only ingest --rejects keeps the rejected rows.  ingest writes the kept rows
-to --out as the pass reaches them, each batch of 1,024 rows joined into one
-text and one write (see corpus.write_rows); the others count each row into a
+only ingest --rejects keeps the rejects, each as the text of its report
+line, which are written after the pass: the parse rejects, then the filter
+rejects, each in input order.  ingest writes the kept rows to --out as the
+pass reaches them, each batch of 1,024 rows joined into one text and one
+write (see corpus.write_rows); the others count each row into a
 birth-year cohort index, so memory grows with distinct names times birth
 years, not with rows or rejects, and every cohort is then read from the
 index.  A run with rejects notes on stderr "note: rejected P rows at
@@ -315,7 +317,7 @@ def _note_rejects(parse_reasons: Counter, filter_reasons: Counter,
 @contextmanager
 def _scan_records(args):
     """A :class:`corpus.RecordScan` of --records under --coding-table and the
-    filter flags, keeping the reject rows only for --rejects, for the body to
+    filter flags, keeping the reject lines only for --rejects, for the body to
     consume; notes the reject counts after it."""
     policy, table = _policy_and_table(args)
     with _open_input(args.records) as fh:
@@ -445,8 +447,9 @@ def _cmd_ingest(args) -> int:
           _scan_records(args) as scan):
         corpus.write_rows(scan, out)
         if rejects is not None:
-            corpus.write_rejection_report(scan.parse_rejected, scan.filter_rejected,
-                                          rejects)
+            rejects.write(corpus._line(corpus.REJECT_HEADER))
+            rejects.writelines(scan.parse_rejected)
+            rejects.writelines(scan.filter_rejected)
     return EXIT_OK
 
 

@@ -15,8 +15,9 @@ distinct raw text of the other columns only once, into per-column memo
 dicts filled by the same per-field parsers and filter rules, so that a
 kept row costs a few dict lookups and builds no :class:`NameRecord`; a
 rejected row goes through :func:`_parse_fields` and :func:`filter_reason`,
-which name its reason.  The scan counts rejects by reason, and keeps the
-rejected rows themselves only when asked to (the ingest rejection report).
+which name its reason.  The scan counts rejects by reason, and only when
+asked to (for the ingest rejection report) keeps each reject as the text of
+its report line, not as a record.
 :class:`CohortIndex` counts the kept rows by (year, corrected sex, age
 tag, standardized name) in the same pass, and counts the rows with no birth
 year.  Each :class:`CohortSpec` brings the default ages that it assumes, so
@@ -294,13 +295,11 @@ def _read_header(stream: IO[str]) -> tuple[Iterator[list[str]], list[int], int]:
     return reader, [position.get(col, width) for col in RECORD_HEADER], width
 
 
-def _malformed(row: list[str], columns: list[int], width: int) -> RejectedRow:
-    """A row whose field count differs from the header's, with its unstripped texts."""
+def _malformed(row: list[str], columns: list[int], width: int) -> list[str]:
+    """The unstripped texts, in ``RECORD_HEADER`` order, of a row whose field
+    count differs from the header's."""
     n = min(len(row), width)
-    return RejectedRow(
-        {col: row[i] if i < n else "" for col, i in zip(RECORD_HEADER, columns)},
-        "malformed_row",
-    )
+    return [row[i] if i < n else "" for i in columns]
 
 
 def parse_records(stream: IO[str]) -> ParseResult:
@@ -319,7 +318,8 @@ def parse_records(stream: IO[str]) -> ParseResult:
         for row in reader:
             if len(row) != width:
                 if row:  # a blank line is skipped, not rejected
-                    rejected.append(_malformed(row, columns, width))
+                    texts = dict(zip(RECORD_HEADER, _malformed(row, columns, width)))
+                    rejected.append(RejectedRow(texts, "malformed_row"))
                 continue
             row.append("")
             fields = [row[i].strip() for i in columns]
@@ -444,11 +444,15 @@ class RecordScan:
     native-born texts as :func:`record_to_row` writes them.  Every rejected
     row is counted by its reason, in ``parse_reasons`` or ``filter_reasons``
     (Counters), as :func:`parse_records` and :func:`filter_records` would
-    reject it.  With ``keep_rejects`` the rows themselves also collect in
-    ``parse_rejected`` and ``filter_rejected``, each in input order as the
-    pass reaches them; without it those lists stay empty, so memory does not
-    grow with the rejects.  The header is read, and :class:`ParseError`
-    raised, on construction.  The rows can be iterated once.
+    reject it.  With ``keep_rejects`` each reject's line of the rejection
+    report, as :func:`write_rejection_report` writes it for that reject,
+    also collects in ``parse_rejected`` or ``filter_rejected`` (lists of
+    str), in input order as the pass reaches it: a parse reject's stripped
+    texts (a ``malformed_row``'s unstripped ones) or a filter reject's
+    record as :func:`record_to_row` gives it, then the reason.  Without it
+    those lists stay empty, so memory does not grow with the rejects.  The
+    header is read, and :class:`ParseError` raised, on construction.  The
+    rows can be iterated once.
 
     Field texts repeat heavily, so each column but location is decoded
     through ``memos[column]``, a plain dict that :func:`_field_decoders`
@@ -478,8 +482,8 @@ class RecordScan:
                           for col in RECORD_HEADER if col != "location"]
         self.parse_reasons: Counter = Counter()
         self.filter_reasons: Counter = Counter()
-        self.parse_rejected: list[RejectedRow] = []
-        self.filter_rejected: list[tuple[NameRecord, str]] = []
+        self.parse_rejected: list[str] = []
+        self.filter_rejected: list[str] = []
 
     def __iter__(self) -> Iterator[tuple]:
         names, sexes, ages, years, kinds, natives = (memo for memo, _ in self._decoders)
@@ -494,8 +498,8 @@ class RecordScan:
                     if row:  # a blank line is skipped, not rejected
                         self.parse_reasons["malformed_row"] += 1
                         if self._keep_rejects:
-                            self.parse_rejected.append(
-                                _malformed(row, self._columns, width))
+                            texts = _malformed(row, self._columns, width)
+                            self.parse_rejected.append(_line(texts + ["malformed_row"]))
                     continue
                 if reorder is not None:
                     row.append("")
@@ -534,14 +538,13 @@ class RecordScan:
         return values
 
     def _reject(self, fields: list[str]) -> None:
-        """Count, and with ``keep_rejects`` keep, the reject reason of a row
-        with stripped ``fields``."""
+        """Count the reject reason of a row with stripped ``fields``, and with
+        ``keep_rejects`` keep its report line."""
         parsed = _parse_fields(fields)
         if isinstance(parsed, str):
             self.parse_reasons[parsed] += 1
             if self._keep_rejects:
-                self.parse_rejected.append(
-                    RejectedRow(dict(zip(RECORD_HEADER, fields)), parsed))
+                self.parse_rejected.append(_line(fields + [parsed]))
             return
         reason = filter_reason(parsed, leading_letters(parsed.raw_name), self._policy,
                                self._table)
@@ -549,7 +552,7 @@ class RecordScan:
             raise InvariantError(f"row {fields} decodes to a reject but is kept")
         self.filter_reasons[reason] += 1
         if self._keep_rejects:
-            self.filter_rejected.append((parsed, reason))
+            self.filter_rejected.append(_line(record_to_row(parsed) + [reason]))
 
 
 def _standardize(record: NameRecord, table: CodingTable) -> tuple[str, Sex]:
@@ -916,10 +919,12 @@ def write_rows(rows: Iterable[Sequence], stream: IO[str]) -> None:
 
 
 def write_records(records: Iterable[NameRecord], stream: IO[str]) -> None:
-    """Write records in the standard record-file format, quoting any field,
-    such as a raw name, that holds a comma, a quote, an LF or a CR."""
-    stream.write(_line(RECORD_HEADER))
-    stream.writelines(map(_line, map(record_to_row, records)))
+    """Write records in the standard record-file format through
+    :func:`write_rows`: of a record's fields only the raw name and the
+    location can need quotes, and the raw name is quoted here."""
+    rows = ((_field(r.raw_name), r.sex.value, r.age, r.record_year, r.record_kind.value,
+             r.location or "", _NATIVE_TEXT[r.native_born]) for r in records)
+    write_rows(rows, stream)
 
 
 def write_rejection_report(

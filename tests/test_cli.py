@@ -553,6 +553,34 @@ class TestIngest:
                 ["Ma\rry", "F", "150", "1880", "census", "Lee\rds", "", "bad_age"]]
         assert none.read_text(encoding="utf-8") == ",".join(corpus.REJECT_HEADER) + "\n"
 
+    def test_traced_memory_per_reject(self, tmp_path):
+        """--rejects holds each reject in at most 150 traced bytes: the peak
+        memory traced while ingesting grows by no more per reject between two
+        files that differ only by 6,000 rejects, half bad_sex and half
+        single_letter, read before every kept row (a reject held as a record
+        object took about 470)."""
+        kept = [f"Mary,F,{i % 90},1880,census,Town {i},true" for i in range(3000)]
+        extra = [f"{'Mary,X' if i % 2 else 'J,F'},20,1880,census,Town {i},true"
+                 for i in range(6000)]
+        peaks = []
+        for name, rows in (("base", kept), ("more", extra + kept)):
+            src = tmp_path / f"{name}.csv"
+            src.write_text(records_csv(rows), encoding="utf-8")
+            argv = ["ingest", "--records", str(src), "--coding-table", DEMO_TABLE,
+                    "--out", str(tmp_path / f"{name}-out.csv"),
+                    "--rejects", str(tmp_path / f"{name}-rejects.csv")]
+            assert main(argv) == 0  # loads every module untraced
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        report = (tmp_path / "more-rejects.csv").read_text(encoding="utf-8")
+        assert len(report.splitlines()) == 1 + len(extra)
+        growth = (peaks[1] - peaks[0]) / len(extra)
+        assert growth <= 150, f"{growth:.1f} bytes per reject"
+
 
 class TestNotes:
     """The stderr notes: reject totals, each reason's count, and the kept

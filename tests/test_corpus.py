@@ -517,6 +517,20 @@ def record_files(draw) -> str:
     return buf.getvalue()
 
 
+def _report_body(parse_rejects, filter_rejects) -> str:
+    """What :func:`write_rejection_report` writes for these rejects after its header."""
+    buf = io.StringIO()
+    write_rejection_report(parse_rejects, filter_rejects, buf)
+    return buf.getvalue().partition("\n")[2]
+
+
+def _report_lines(parse_rejects, filter_rejects) -> tuple[list[str], list[str]]:
+    """The report line of each parse reject and of each filter reject, as
+    :func:`write_rejection_report` writes it."""
+    return ([_report_body([row], []) for row in parse_rejects],
+            [_report_body([], [pair]) for pair in filter_rejects])
+
+
 def _outcome(parse, text):
     try:
         return parse(io.StringIO(text))
@@ -586,8 +600,8 @@ class TestCohortIndex:
 
         scan = RecordScan(io.StringIO(text), policy, demo_table, keep_rejects=True)
         index = CohortIndex(scan)
-        assert scan.parse_rejected == parsed.rejected
-        assert scan.filter_rejected == filtered.rejected
+        assert (scan.parse_rejected, scan.filter_rejected) == _report_lines(
+            parsed.rejected, filtered.rejected)
         assert scan.parse_reasons == Counter(row.reason for row in parsed.rejected)
         assert scan.filter_reasons == Counter(reason for _, reason in filtered.rejected)
         unresolved = sum(reference_corpus.birth_year(record, *ages) is None
@@ -633,10 +647,11 @@ def _stream(text: str) -> io.StringIO:
 
 def _assert_scan_matches_reference(text, policy, table, ages):
     """The scan of ``text``, with and without ``keep_rejects``, gives the kept
-    rows, the rejects and their counts by reason of the reference scan, and
-    the index of its rows at default ages ``ages`` the reference's one-year
-    cohorts, the reference's total over all birth years, and its count of
-    rows with no birth year."""
+    rows and the reject counts by reason of the reference scan, each reject's
+    report line as :func:`write_rejection_report` writes the reference's
+    reject, and the index of its rows at default ages ``ages`` the
+    reference's one-year cohorts, the reference's total over all birth years,
+    and its count of rows with no birth year."""
     ref = reference_corpus.RecordScan(_stream(text), policy, table)
     ref_kept = list(ref)
     scan = RecordScan(_stream(text), policy, table, keep_rejects=True)
@@ -647,8 +662,8 @@ def _assert_scan_matches_reference(text, policy, table, ages):
          record_to_row(r)[-1])
         for r, name, sex in ref_kept
     ]
-    assert scan.parse_rejected == ref.parse_rejected
-    assert scan.filter_rejected == ref.filter_rejected
+    assert (scan.parse_rejected, scan.filter_rejected) == _report_lines(
+        ref.parse_rejected, ref.filter_rejected)
     assert scan.parse_reasons == Counter(row.reason for row in ref.parse_rejected)
     assert scan.filter_reasons == Counter(reason for _, reason in ref.filter_rejected)
     counted = RecordScan(_stream(text), policy, table, keep_rejects=False)

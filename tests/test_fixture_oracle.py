@@ -1,15 +1,17 @@
-"""perfbench's census fixture as an independent oracle for ``stats`` and ``fit``.
+"""perfbench's census fixture as an independent oracle for ``stats``, ``fit``,
+``comm`` and ``ingest``.
 
 ``perfbench/fixture.py`` generates the ``census-200k`` record file with numpy
-alone and derives the ``stats`` report and every reject count from the
-generated fields, without importing namestats.  Here it runs on a seed that
-``perfbench/reference_digests.json`` does not record, at the flags of the
-``stats-narrow`` and ``stats-wide`` workloads; the CLI's report bytes and its
-stderr notes must be the fixture's.  The ``fit`` report at the
-``stats-narrow`` flags is checked against a least-squares line computed here
-from the fixture's cohort counts, and a ``comm`` report on the same records
-against C1-C4, the new top names and their turnover computed here from the
-same counts.  perfbench is only read, never changed.
+alone and derives the ``stats`` report, the ``ingest`` output and rejection
+report, and every reject count from the generated fields, without importing
+namestats.  Here it runs on a seed that ``perfbench/reference_digests.json``
+does not record, at the flags of the ``stats-narrow``, ``stats-wide`` and
+``ingest-write`` workloads; the CLI's report bytes, its ``ingest`` output and
+rejection report, and its stderr notes must be the fixture's.  The ``fit``
+report at the ``stats-narrow`` flags is checked against a least-squares line
+computed here from the fixture's cohort counts, and a ``comm`` report on the
+same records against C1-C4, the new top names and their turnover computed
+here from the same counts.  perfbench is only read, never changed.
 """
 
 import math
@@ -68,6 +70,21 @@ def test_stats_report_and_notes_are_the_fixtures(bench, tmp_path, workload):
     sexes = sorted({sex for _, sex in jobs})
     want, _ = fixture.stats_report(census, spans, sexes)
     assert (tmp_path / "out.csv").read_text(encoding="utf-8") == want
+
+
+def test_ingest_outputs_and_notes_are_the_fixtures(bench, tmp_path):
+    fixture, workloads, census = bench
+    records = tmp_path / "census-200k.csv"
+    records.write_text(census.text, encoding="utf-8")
+    argv = workloads.cli_argv("ingest-write", str(records), str(tmp_path), SEED)
+    run = subprocess.run([sys.executable, "-m", "namestats.cli", *argv], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    # ingest notes the rejects but not the rows with no birth year
+    assert run.stderr.splitlines() == _notes(census)[:2]
+    assert (tmp_path / "out.csv").read_bytes() == census.ingest_text.encode("utf-8")
+    assert (tmp_path / "rejects.csv").read_bytes() == census.rejects_text.encode("utf-8")
 
 
 def _fit_report(label: str, sex: str, counts: dict[str, int], min_count: int) -> str:
