@@ -62,17 +62,16 @@ no list or string spans every birth.
 Importing this module loads only the standard library, corpus and
 standardize; each subcommand imports the modules it runs when it runs
 (stats and samplevar popstats and reports, comm commstats, fit and
-conquest powerlaw, simulate synth and numpy), and main tells the errors
-that exit 2 and 3 apart without importing a module to do so.  simulate
-calls no BLAS routine, so it loads numpy with one OpenBLAS thread unless
-OPENBLAS_NUM_THREADS is already set.
+conquest powerlaw, simulate synth, numpy and json), and main tells the
+errors that exit 2 and 3 apart without importing a module to do so.
+simulate calls no BLAS routine, so it loads numpy with one OpenBLAS thread
+unless OPENBLAS_NUM_THREADS is already set.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import stat
 import sys
@@ -571,6 +570,8 @@ def _cmd_simulate(args) -> int:
     # simulate calls no BLAS routine, so OpenBLAS's worker threads would only
     # spin while numpy loads; a value the user set is kept
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import json
+
     import numpy as np
 
     from . import synth

@@ -12,12 +12,12 @@ to column positions once, then validates each row's fields once into a
 :class:`RecordScan` does the parse, the inclusion filters and the coding
 table in one pass, but decodes each distinct truncated name and each
 distinct raw text of the other columns only once, into per-column memo
-dicts filled by the same per-field parsers and filter rules, so that a
-kept row costs a few dict lookups and builds no :class:`NameRecord`; a
-rejected row goes through :func:`_parse_fields` and :func:`filter_reason`,
-which name its reason.  The scan counts rejects by reason, and only when
-asked to (for the ingest rejection report) keeps each reject as the text of
-its report line, not as a record.
+dicts filled by the same per-field parsers and filter rules, so that no
+row builds a :class:`NameRecord`: a kept row costs a few dict lookups, and
+a rejected row's reason and report line come from the same memo values.
+The scan counts rejects by reason, and only when asked to (for the ingest
+rejection report) keeps each reject as the text of its report line, not as
+a record.
 :class:`CohortIndex` counts the kept rows by (year, corrected sex, age
 tag, standardized name) in the same pass, and counts the rows with no birth
 year.  Each :class:`CohortSpec` brings the default ages that it assumes, so
@@ -462,9 +462,11 @@ class RecordScan:
     field text.  Under the header ``RECORD_HEADER`` itself a row's fields
     are unpacked as read; under any other header each row is first put in
     that order, an absent column reading as empty.  A row with any field
-    that decodes to a reject, or whose corrected sex is still unknown, goes
-    once through :func:`_parse_fields` and :func:`filter_reason`, which give
-    its exact reason.
+    that decodes to a reject, or whose corrected sex is still unknown, is
+    named and rendered from its memo values, in the reason order of
+    :func:`_parse_fields` and then :func:`filter_reason`; only the
+    native-born text is parsed again, to tell a bad text from a non-native
+    one.
     """
 
     def __init__(
@@ -473,7 +475,6 @@ class RecordScan:
     ):
         self._reader, self._columns, self._width = _read_header(stream)
         self._policy = policy
-        self._table = table
         self._keep_rejects = keep_rejects
         decoders = _field_decoders(policy, table)
         self.memos: dict[str, dict] = {col: {} for col in decoders}
@@ -517,14 +518,14 @@ class RecordScan:
                 except KeyError:
                     coded, sex, age, year, kind, native = self._decode_row(
                         (letters, sex_text, age_text, year_text, kind_text, native_text))
-                if coded is not _BAD and sex is not _BAD:
+                if not (coded is _BAD or sex is _BAD or age is _BAD or year is _BAD
+                        or kind is _BAD or native is _BAD):
                     name, override = coded
-                    sex = override or sex
-                if (coded is _BAD or sex is _BAD or sex == "U" or age is _BAD
-                        or year is _BAD or kind is _BAD or native is _BAD):
-                    self._reject([text.strip() for text in row])
-                    continue
-                yield name, sex, age, year, kind, location.strip(), native
+                    corrected = override or sex
+                    if corrected != "U":
+                        yield name, corrected, age, year, kind, location.strip(), native
+                        continue
+                self._reject(row, letters, coded, sex, age, year, kind, native)
 
     def _decode_row(self, keys: tuple[str, ...]) -> list:
         """The memo values of a row with memo keys ``keys`` (its truncated
@@ -537,22 +538,55 @@ class RecordScan:
             values.append(memo[key])
         return values
 
-    def _reject(self, fields: list[str]) -> None:
-        """Count the reject reason of a row with stripped ``fields``, and with
-        ``keep_rejects`` keep its report line."""
-        parsed = _parse_fields(fields)
-        if isinstance(parsed, str):
-            self.parse_reasons[parsed] += 1
+    def _reject(self, row: Sequence[str], letters: str, coded, sex, age, year, kind,
+                native) -> None:
+        """Count the reason of a rejected row, and with ``keep_rejects`` keep
+        its report line, from the row's texts ``row`` in ``RECORD_HEADER``
+        order, its truncated name ``letters`` and its memo values: the coded
+        name, the recorded sex code, the age, year, kind and native-born text.
+
+        The parse reasons come first, in :func:`_parse_fields`' order (name,
+        sex, year, age, kind, native birth), then the filter reasons in
+        :func:`filter_reason`'s.  The native-born memo gives ``_BAD`` both
+        for a text that does not parse and for one the policy rejects, so one
+        parse of the text tells them apart.
+        """
+        native_born = _parse_native_born(row[6].strip()) if native is _BAD else None
+        if not row[0].strip():
+            reason = "empty_name"
+        elif sex is _BAD:
+            reason = "bad_sex"
+        elif year is _BAD:
+            reason = "bad_year"
+        elif age is _BAD:
+            reason = "bad_age"
+        elif kind is _BAD:
+            reason = "bad_kind"
+        elif native_born is _BAD:
+            reason = "bad_native_born"
+        else:
+            reason = None
+        if reason is not None:
+            self.parse_reasons[reason] += 1
             if self._keep_rejects:
-                self.parse_rejected.append(_line(fields + [parsed]))
+                self.parse_rejected.append(_line([text.strip() for text in row] + [reason]))
             return
-        reason = filter_reason(parsed, leading_letters(parsed.raw_name), self._policy,
-                               self._table)
+        if coded is _BAD:
+            reason = _name_reason(letters, self._policy)
+        if native is _BAD:
+            reason = reason or _native_reason(native_born, self._policy)
+            native = _NATIVE_TEXT[native_born]
+        if reason is None and coded is not _BAD and (coded[1] or sex) == "U":
+            reason = "unparseable_sex"
         if reason is None:
+            fields = [text.strip() for text in row]
             raise InvariantError(f"row {fields} decodes to a reject but is kept")
         self.filter_reasons[reason] += 1
         if self._keep_rejects:
-            self.filter_rejected.append(_line(record_to_row(parsed) + [reason]))
+            # as in write_rows, only the name and the location can need quotes
+            self.filter_rejected.append(
+                f"{_field(row[0].strip())},{sex},{'' if age is None else age},{year},"
+                f"{kind},{_field(row[5].strip())},{native},{reason}\n")
 
 
 def _standardize(record: NameRecord, table: CodingTable) -> tuple[str, Sex]:

@@ -11,8 +11,9 @@ per row, then truncation, filtering, coding and sex correction.
 ``build_cohort`` is the per-spec scan of every record that
 ``corpus.build_cohort``, now a ``CohortIndex`` over the records, replaced.
 The reference scan parses through ``parse_records`` here, not the corpus
-parser, and ``cohort_buckets`` and ``build_cohort`` assign birth years by
-``birth_year``, the README's rule written out, not the corpus's own.
+parser, and filters by ``filter_reason`` here; ``cohort_buckets`` and
+``build_cohort`` assign birth years by ``birth_year``.  ``filter_reason``
+and ``birth_year`` are the README's rules written out, not the corpus's own.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from namestats.corpus import (
     ParseResult,
     RecordKind,
     RejectedRow,
-    filter_reason,
     write_records,
     write_rejection_report,
 )
@@ -170,6 +170,27 @@ def _parse_dicts(reader: csv.DictReader) -> ParseResult:
         else:
             records.append(parsed)
     return ParseResult(records, rejected)
+
+
+def filter_reason(record: NameRecord, letters: str, policy: FilterPolicy,
+                  table: CodingTable) -> str | None:
+    """README "Processing rules": why a parsed record with truncated name
+    ``letters`` is dropped, checked in this order, or None when it is kept.
+    A name with fewer than two leading letters, a generic name (truncated
+    like any other), a record not known to be native-born when native birth
+    is required, and a record whose sex is unknown and which the coding
+    table's sex override for its standardized name does not fix."""
+    if len(letters) < 2:
+        return "single_letter"
+    if letters in {leading_letters(name) for name in policy.generic_names}:
+        return "generic"
+    if policy.require_native_born and record.native_born is not True:
+        return "non_native"
+    if record.sex is Sex.UNKNOWN:
+        override = correct_sex(table, apply_coding(table, letters), Sex.UNKNOWN)
+        if override is Sex.UNKNOWN:
+            return "unparseable_sex"
+    return None
 
 
 class RecordScan:

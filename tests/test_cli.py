@@ -806,11 +806,21 @@ class TestErrorPaths:
     def test_invariant_failure_exit_4(self, tmp_path, capsys, monkeypatch, command):
         """A row the scan rejects but whose reason decodes to none is a bug,
         not bad input: one "internal error" line and exit 4, no traceback,
-        and no output written."""
+        and no output written.  The name rule answers the name's memo, so
+        MRS decodes to a reject, and then answers none when the scan names
+        the reject's reason."""
         records = tmp_path / "records.csv"
         records.write_text(records_csv(["Mary,F,5,1880,census,,", "Mrs,F,40,1880,census,,"]),
                            encoding="utf-8")
-        monkeypatch.setattr(corpus, "filter_reason", lambda *args: None)
+        name_reason, asked = corpus._name_reason, set()
+
+        def answers_once(letters, policy):
+            if letters in asked:
+                return None
+            asked.add(letters)
+            return name_reason(letters, policy)
+
+        monkeypatch.setattr(corpus, "_name_reason", answers_once)
         argv = [arg.replace("REJECTS", str(tmp_path / "rej.csv")) for arg in command]
         out = tmp_path / "out.csv"
         code = main([*argv, "--records", str(records), "--out", str(out)])
@@ -1163,6 +1173,13 @@ class TestImports:
         env = dict(os.environ, PYTHONPATH=str(src))
         probe = "import sys, namestats.cli; print('numpy' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
+
+    def test_cli_import_loads_no_json(self):
+        """Only simulate writes JSON, so only simulate loads the module."""
+        probe = "import sys, namestats.cli; print('json' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
                               capture_output=True, text=True, check=True)
         assert done.stdout == "False\n"
 

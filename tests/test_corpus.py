@@ -819,6 +819,123 @@ class TestIngestIsIdempotent:
             assert rejects.read_text(encoding="utf-8") == ",".join(REJECT_HEADER) + "\n"
 
 
+_PARSE_REASONS = {"empty_name", "bad_sex", "bad_year", "bad_age", "bad_kind",
+                  "bad_native_born", "malformed_row"}
+
+
+def _written(rows: list[list[str]], header: tuple[str, ...]) -> str:
+    """A record file of ``rows``, field texts in ``RECORD_HEADER`` order,
+    under ``header``, a permutation of it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([row[RECORD_HEADER.index(col)] for col in header])
+    return buf.getvalue()
+
+
+# a file with a row for every reject reason under --require-native-born
+_EVERY_REASON = records_csv([
+    "Mary,F,5,1880,census,Leeds,true",
+    "Maria,U,,1880,marriage,,yes",  # kept: the table fixes the sex
+    "Ann,F,,1880,census,,true",  # kept, with no birth year
+    " ,F,5,1880,census,,true",
+    "Mary,X,5,1880,census,,true",
+    "Mary,F,5,18x0,census,,true",
+    "Mary,F,111,1880,census,,true",
+    "Mary,F,5,1880,tax_roll,,true",
+    "Mary,F,5,1880,census,,maybe",
+    "Mary,F,5,1880,census",
+    "J.,F,5,1880,census,,true",
+    "Widow Smith,F,40,1880,census,,true",
+    "Mary,F,5,1880,census,,no",
+    'Zelda,U,5,1880,census,"York, N.Y.",true',
+])
+
+
+class TestRejectsFromMemoValues:
+    """A reject's reason and report line come from the row's memo values:
+    of a row's faults the first in the parse order, then the filter order,
+    names it, and its line is the one the list API's record gives."""
+
+    @pytest.mark.parametrize("header", [RECORD_HEADER, RECORD_HEADER[::-1]],
+                             ids=["in_order", "reversed"])
+    @pytest.mark.parametrize("keep_rejects", [True, False])
+    @pytest.mark.parametrize("row, native, want", [
+        pytest.param([" ", "X", "5", "1880", "census", "", ""], False,
+                     ",X,5,1880,census,,,empty_name\n", id="empty_name-before-bad_sex"),
+        pytest.param(["Mary", "F", "abc", "18x0", "census", "", ""], False,
+                     "Mary,F,abc,18x0,census,,,bad_year\n", id="bad_year-before-bad_age"),
+        pytest.param(["Mary", "F", "5", "1880", "census", "", "maybe"], True,
+                     "Mary,F,5,1880,census,,maybe,bad_native_born\n",
+                     id="bad_native_born-not-non_native"),
+        pytest.param([" mrs ", "f", " 40 ", "1880", "Census", " Leeds ", " No "], True,
+                     "mrs,F,40,1880,census,Leeds,false,generic\n",
+                     id="generic-before-non_native"),
+        pytest.param(["?", "U", "5", "1880", "census", "", ""], False,
+                     "?,U,5,1880,census,,,single_letter\n",
+                     id="single_letter-before-unparseable_sex"),
+        pytest.param(["Zelda", "U", "5", "1880", "census", "", ""], True,
+                     "Zelda,U,5,1880,census,,,non_native\n",
+                     id="non_native-before-unparseable_sex"),
+        pytest.param(["Maria", "U", "5", "1880", "census", "", ""], False,
+                     ("MARY", "F", 5, 1880, "census", "", ""), id="override-kept"),
+        pytest.param(["Zelda", "", "", "1880", "marriage", "York, N.Y.", ""], False,
+                     'Zelda,U,,1880,marriage,"York, N.Y.",,unparseable_sex\n',
+                     id="unparseable_sex"),
+    ])
+    def test_first_reason_names_the_row(self, demo_table, header, keep_rejects, row,
+                                        native, want):
+        scan = RecordScan(_stream(_written([row], header)),
+                          FilterPolicy(require_native_born=native), demo_table,
+                          keep_rejects=keep_rejects)
+        rows = list(scan)
+        if isinstance(want, tuple):
+            assert rows == [want]
+            assert scan.parse_reasons == scan.filter_reasons == Counter()
+            assert scan.parse_rejected == scan.filter_rejected == []
+            return
+        assert rows == []
+        reason = want.rstrip("\n").rpartition(",")[2]
+        counts, lines = Counter([reason]), [want] if keep_rejects else []
+        if reason in _PARSE_REASONS:
+            expected = (counts, Counter(), lines, [])
+        else:
+            expected = (Counter(), counts, [], lines)
+        assert (scan.parse_reasons, scan.filter_reasons,
+                scan.parse_rejected, scan.filter_rejected) == expected
+
+    def test_no_record_is_built_on_the_scan_path(self, demo_table, tmp_path, capsys):
+        """ingest --rejects and index_records write and count the same with
+        the list API's parser, filter, record type and row renderer made to
+        raise: the scan calls none of them."""
+        src = tmp_path / "records.csv"
+        src.write_text(_EVERY_REASON, encoding="utf-8")
+        policy = FilterPolicy(require_native_born=True)
+
+        def run(tag):
+            out, rejects = tmp_path / f"{tag}.csv", tmp_path / f"{tag}-rejects.csv"
+            code = main(["ingest", "--records", str(src), "--coding-table", str(DEMO_TABLE),
+                         "--require-native-born", "--out", str(out),
+                         "--rejects", str(rejects)])
+            return (code, out.read_bytes(), rejects.read_bytes(), capsys.readouterr().err,
+                    _indexed(src, policy, demo_table, 1))
+
+        want = run("plain")
+        _, _, _, _, (_, _, parse_reasons, filter_reasons) = want
+        assert set(parse_reasons) == _PARSE_REASONS
+        assert set(filter_reasons) == {"single_letter", "generic", "non_native",
+                                       "unparseable_sex"}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the scan path")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_parse_fields", "filter_reason", "record_to_row", "NameRecord"):
+                mp.setattr(corpus, name, forbidden)
+            assert run("patched") == want
+
+
 # cell texts with no quote and no CR: every line end is a record end
 _LINE_JUNK = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",),
