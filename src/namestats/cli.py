@@ -11,33 +11,43 @@ not bad input), printed as "internal error: ...".
 Each subcommand takes only the options it reads (see `namestats CMD -h`).
 Every one writes to --out (default stdout); all but ingest and simulate
 take --format.  ingest, stats, comm and fit read --records under
---coding-table, --require-native-born and --generic; stats, comm and fit
-also take --sex, --marriage-age, --adult-age and --threads.  A --generic
-name is truncated like a record's name, and one with fewer than two
-leading letters is an exit-1 error.
+--coding-table, --require-native-born, --generic and --threads; stats, comm
+and fit also take --sex, --marriage-age and --adult-age.  A --generic name
+is truncated like a record's name, and one with fewer than two leading
+letters is an exit-1 error.
 
---threads N (at least 1) lets stats, comm and fit split a regular --records
-file at line ends into at most min(N, usable CPUs, size // 1 MiB) byte
-ranges, index the first here and each other one in a forked child, and sum
-the counts (see corpus.index_records).  A file with a quote or a CR outside
-a CRLF, which could put a line end inside a record, is read in one pass, as
-is any file when a range fails, so errors are those of --threads 1.
+--threads N (at least 1; by default the CPUs this process may run on) lets
+ingest, stats, comm and fit split a regular --records file at line ends
+into at most min(N, usable CPUs, size // 1 MiB) byte ranges, read the first
+here and each other one in a forked child, and sum the counts (see
+corpus.index_records and corpus.ingest_records).  A file with a quote or a
+CR outside a CRLF, which could put a line end inside a record, is read in
+one pass, as is any file when a range fails, so errors are those of
+--threads 1, which reads in one process.
 
-ingest, stats, comm and fit read the record file in one streaming pass
-that decodes each distinct field text once and each kept row by table
-lookups (see corpus.RecordScan).  Each counts the rejects by reason, and
-only ingest --rejects keeps the rejects, each as the text of its report
-line, which are written after the pass: the parse rejects, then the filter
-rejects, each in input order.  ingest writes the kept rows to --out as the
-pass reaches them, each batch of 1,024 rows joined into one text and one
-write (see corpus.write_rows); the others count each row into a
-birth-year cohort index, so memory grows with distinct names times birth
-years, not with rows or rejects, and every cohort is then read from the
-index.  A run with rejects notes on stderr "note: rejected P rows at
-parse, F at filter" and then "note: rejects by reason: REASON=N ...", each
-reason's count, sorted by reason name.  stats, comm and fit also note the
-census and other rows with no age, which no cohort counts: "note: N kept
-rows have no age and no default age for their kind; no cohort counts them".
+ingest, stats, comm and fit read each range of the record file in one
+streaming pass that decodes each distinct field text once and each kept
+row by table lookups (see corpus.RecordScan).  Each counts the rejects by
+reason, and only ingest --rejects writes the rejects, each as its report
+line as the pass reaches it, holding none: the parse rejects, then the
+filter rejects, each in input order.  ingest writes the kept rows, each
+batch of 1,024 rows joined into one text and one write (see
+corpus.write_rows).  Run in one process it writes the kept rows and the
+parse rejects to --out and --rejects as the pass reaches them, and the
+filter rejects to an anonymous temporary file (a spool) that is appended
+to --rejects after the pass.  On ranges, each range writes its kept rows,
+parse rejects and filter rejects to three spools, and only once every
+range has succeeded are the headers and the spools written, in range
+order: every range's kept rows, then every range's parse rejects, then
+every range's filter rejects, the order of one pass.  The others count
+each row into a birth-year cohort index, so memory grows with distinct
+names times birth years, not with rows or rejects, and every cohort is
+then read from the index.  A run with rejects notes on stderr "note:
+rejected P rows at parse, F at filter" and then "note: rejects by reason:
+REASON=N ...", each reason's count, sorted by reason name.  stats, comm
+and fit also note the census and other rows with no age, which no cohort
+counts: "note: N kept rows have no age and no default age for their kind;
+no cohort counts them".
 Reports are written in (cohort span, sex) order and are byte-identical
 across runs.  All output files are opened before the first report byte is
 written; ingest and fit open them before reading --records.  Each is
@@ -60,10 +70,12 @@ written in turn, so no record or row string is built per name or birth and
 no list or string spans every birth.
 
 Importing this module loads only the standard library, corpus and
-standardize; each subcommand imports the modules it runs when it runs
-(stats and samplevar popstats and reports, comm commstats, fit and
-conquest powerlaw, simulate synth, numpy and json), and main tells the
-errors that exit 2 and 3 apart without importing a module to do so.
+standardize, and of the standard library not tempfile, shutil or pickle,
+which a ranged or spooled run loads when it starts; each subcommand
+imports the modules it runs when it runs (stats and samplevar popstats and
+reports, comm commstats, fit and conquest powerlaw, simulate synth, numpy
+and json), and main tells the errors that exit 2 and 3 apart without
+importing a module to do so.
 simulate calls no BLAS routine, so it loads numpy with one OpenBLAS thread
 unless OPENBLAS_NUM_THREADS is already set.
 """
@@ -182,6 +194,9 @@ def _record_flags(parser: argparse.ArgumentParser) -> None:
         metavar="NAME",
         help="extra generic name to reject (repeatable)",
     )
+    parser.add_argument("--threads", type=_positive_int, default=corpus.usable_cpus(),
+                        help="read --records in up to this many processes "
+                             "(default: the CPUs this process may run on)")
 
 
 def _cohort_flags(parser: argparse.ArgumentParser) -> None:
@@ -190,8 +205,6 @@ def _cohort_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sex", choices=("F", "M", "both"), default="both")
     parser.add_argument("--marriage-age", type=int, default=corpus.DEFAULT_AGE_MARRIAGE)
     parser.add_argument("--adult-age", type=int, default=corpus.DEFAULT_AGE_ADULT)
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="index --records in up to this many processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,29 +326,24 @@ def _note_rejects(parse_reasons: Counter, filter_reasons: Counter,
               "kind; no cohort counts them", file=sys.stderr)
 
 
-@contextmanager
-def _scan_records(args):
-    """A :class:`corpus.RecordScan` of --records under --coding-table and the
-    filter flags, keeping the reject lines only for --rejects, for the body to
-    consume; notes the reject counts after it."""
+def _read_records(args, read, *outputs):
+    """``read(--records, policy, table, --threads, *outputs)`` under
+    --coding-table and the filter flags, an error reading --records made a
+    CliError naming it."""
     policy, table = _policy_and_table(args)
-    with _open_input(args.records) as fh:
-        scan = corpus.RecordScan(fh, policy, table, keep_rejects=args.rejects is not None)
-        yield scan
-    _note_rejects(scan.parse_reasons, scan.filter_reasons)
+    try:
+        return read(args.records, policy, table, args.threads, *outputs)
+    except BrokenPipeError:  # stdout's reader has gone: main handles it
+        raise
+    except OSError as exc:
+        raise CliError(f"cannot read {args.records}: {exc}", EXIT_PARSE) from exc
 
 
 def _index_records(args) -> corpus.CohortIndex:
     """The cohort index of --records under --coding-table and the filter
     flags, built by up to --threads processes; notes the reject counts and
     the rows with no birth year.  Each cohort's spec brings the default ages."""
-    policy, table = _policy_and_table(args)
-    try:
-        index, parse_reasons, filter_reasons = corpus.index_records(
-            args.records, policy, table, args.threads
-        )
-    except OSError as exc:
-        raise CliError(f"cannot read {args.records}: {exc}", EXIT_PARSE) from exc
+    index, parse_reasons, filter_reasons = _read_records(args, corpus.index_records)
     _note_rejects(parse_reasons, filter_reasons, index.unresolved)
     return index
 
@@ -442,13 +450,10 @@ def _spec(args, sex: Sex, span: tuple[int, int]) -> CohortSpec:
 
 
 def _cmd_ingest(args) -> int:
-    with (_outputs(args.out, args.rejects) as (out, rejects),
-          _scan_records(args) as scan):
-        corpus.write_rows(scan, out)
-        if rejects is not None:
-            rejects.write(corpus._line(corpus.REJECT_HEADER))
-            rejects.writelines(scan.parse_rejected)
-            rejects.writelines(scan.filter_rejected)
+    with _outputs(args.out, args.rejects) as (out, rejects):
+        parse_reasons, filter_reasons = _read_records(args, corpus.ingest_records,
+                                                      out, rejects)
+        _note_rejects(parse_reasons, filter_reasons)
     return EXIT_OK
 
 

@@ -15,17 +15,18 @@ distinct raw text of the other columns only once, into per-column memo
 dicts filled by the same per-field parsers and filter rules, so that no
 row builds a :class:`NameRecord`: a kept row costs a few dict lookups, and
 a rejected row's reason and report line come from the same memo values.
-The scan counts rejects by reason, and only when asked to (for the ingest
-rejection report) keeps each reject as the text of its report line, not as
-a record.
+The scan counts rejects by reason, and only when given streams for them
+(for the ingest rejection report) writes each reject's report line as it
+meets it, holding none.
 :class:`CohortIndex` counts the kept rows by (year, corrected sex, age
 tag, standardized name) in the same pass, and counts the rows with no birth
 year.  Each :class:`CohortSpec` brings the default ages that it assumes, so
 every cohort is then a sum over year buckets, and memory grows with
 distinct names times years, not with rows or rejects.  :func:`index_records`
-builds a record file's CohortIndex with its reject counts by reason,
-splitting a large file into byte ranges at line ends and indexing the
-ranges in forked child processes when asked for more than one worker.
+builds a record file's CohortIndex with its reject counts by reason, and
+:func:`ingest_records` writes its standardized rows and rejection report;
+each splits a large file into byte ranges at line ends and reads the ranges
+in forked child processes when asked for more than one worker.
 :func:`filter_records` is a list form of :func:`filter_reason`, and
 :func:`build_cohort` is a one-spec CohortIndex.
 """
@@ -38,7 +39,7 @@ import os
 import sys
 import threading
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -444,15 +445,16 @@ class RecordScan:
     native-born texts as :func:`record_to_row` writes them.  Every rejected
     row is counted by its reason, in ``parse_reasons`` or ``filter_reasons``
     (Counters), as :func:`parse_records` and :func:`filter_records` would
-    reject it.  With ``keep_rejects`` each reject's line of the rejection
-    report, as :func:`write_rejection_report` writes it for that reject,
-    also collects in ``parse_rejected`` or ``filter_rejected`` (lists of
-    str), in input order as the pass reaches it: a parse reject's stripped
-    texts (a ``malformed_row``'s unstripped ones) or a filter reject's
-    record as :func:`record_to_row` gives it, then the reason.  Without it
-    those lists stay empty, so memory does not grow with the rejects.  The
-    header is read, and :class:`ParseError` raised, on construction.  The
-    rows can be iterated once.
+    reject it.  With ``rejects``, a pair of text streams, each reject's
+    line of the rejection report, as :func:`write_rejection_report` writes
+    it for that reject, is written as the pass reaches it, in one write
+    call, to the first stream for a parse reject or the second for a filter
+    reject: a parse reject's stripped texts (a ``malformed_row``'s
+    unstripped ones) or a filter reject's record as :func:`record_to_row`
+    gives it, then the reason.  The scan holds no reject line, so memory
+    does not grow with the rejects.  The header is read, and
+    :class:`ParseError` raised, on construction.  The rows can be iterated
+    once.
 
     Field texts repeat heavily, so each column but location is decoded
     through ``memos[column]``, a plain dict that :func:`_field_decoders`
@@ -471,11 +473,14 @@ class RecordScan:
 
     def __init__(
         self, stream: IO[str], policy: FilterPolicy, table: CodingTable, *,
-        keep_rejects: bool,
+        rejects: tuple[IO[str], IO[str]] | None = None,
     ):
         self._reader, self._columns, self._width = _read_header(stream)
         self._policy = policy
-        self._keep_rejects = keep_rejects
+        # each reject's report line is one call of its kind's write
+        self._write_parse = self._write_filter = None
+        if rejects is not None:
+            self._write_parse, self._write_filter = (r.write for r in rejects)
         decoders = _field_decoders(policy, table)
         self.memos: dict[str, dict] = {col: {} for col in decoders}
         # (memo, decoder) in the order of the keys _decode_row takes
@@ -483,8 +488,6 @@ class RecordScan:
                           for col in RECORD_HEADER if col != "location"]
         self.parse_reasons: Counter = Counter()
         self.filter_reasons: Counter = Counter()
-        self.parse_rejected: list[str] = []
-        self.filter_rejected: list[str] = []
 
     def __iter__(self) -> Iterator[tuple]:
         names, sexes, ages, years, kinds, natives = (memo for memo, _ in self._decoders)
@@ -498,9 +501,9 @@ class RecordScan:
                 if len(row) != width:
                     if row:  # a blank line is skipped, not rejected
                         self.parse_reasons["malformed_row"] += 1
-                        if self._keep_rejects:
+                        if self._write_parse is not None:
                             texts = _malformed(row, self._columns, width)
-                            self.parse_rejected.append(_line(texts + ["malformed_row"]))
+                            self._write_parse(_line(texts + ["malformed_row"]))
                     continue
                 if reorder is not None:
                     row.append("")
@@ -540,10 +543,11 @@ class RecordScan:
 
     def _reject(self, row: Sequence[str], letters: str, coded, sex, age, year, kind,
                 native) -> None:
-        """Count the reason of a rejected row, and with ``keep_rejects`` keep
-        its report line, from the row's texts ``row`` in ``RECORD_HEADER``
-        order, its truncated name ``letters`` and its memo values: the coded
-        name, the recorded sex code, the age, year, kind and native-born text.
+        """Count the reason of a rejected row, and write its report line when
+        the scan has reject streams, from the row's texts ``row`` in
+        ``RECORD_HEADER`` order, its truncated name ``letters`` and its memo
+        values: the coded name, the recorded sex code, the age, year, kind and
+        native-born text.
 
         The parse reasons come first, in :func:`_parse_fields`' order (name,
         sex, year, age, kind, native birth), then the filter reasons in
@@ -568,8 +572,8 @@ class RecordScan:
             reason = None
         if reason is not None:
             self.parse_reasons[reason] += 1
-            if self._keep_rejects:
-                self.parse_rejected.append(_line([text.strip() for text in row] + [reason]))
+            if self._write_parse is not None:
+                self._write_parse(_line([text.strip() for text in row] + [reason]))
             return
         if coded is _BAD:
             reason = _name_reason(letters, self._policy)
@@ -582,9 +586,9 @@ class RecordScan:
             fields = [text.strip() for text in row]
             raise InvariantError(f"row {fields} decodes to a reject but is kept")
         self.filter_reasons[reason] += 1
-        if self._keep_rejects:
+        if self._write_filter is not None:
             # as in write_rows, only the name and the location can need quotes
-            self.filter_rejected.append(
+            self._write_filter(
                 f"{_field(row[0].strip())},{sex},{'' if age is None else age},{year},"
                 f"{kind},{_field(row[5].strip())},{native},{reason}\n")
 
@@ -680,8 +684,10 @@ class CohortIndex:
 
 # a --records file is split into ranges of at least this many bytes
 _MIN_RANGE_BYTES = 1 << 20
-# bytes read at a time by the pre-pass and the line-end search
-_READ_BYTES = 1 << 20
+# bytes read at a time by the pre-pass and the line-end search: few enough
+# that each read's buffer comes from the heap, not from a fresh mapping that
+# raises the peak resident size (1 MiB reads raised it about 2 MB)
+_READ_BYTES = 1 << 16
 
 
 def usable_cpus() -> int:
@@ -780,23 +786,43 @@ def _index_raw(
 ) -> tuple[CohortIndex, Counter, Counter]:
     """The :class:`CohortIndex` of a raw record stream's kept rows, and its
     parse and filter reject counts by reason."""
-    scan = RecordScan(text_input(raw), policy, table, keep_rejects=False)
-    index = CohortIndex(scan)
+    with text_input(raw) as stream:
+        scan = RecordScan(stream, policy, table)
+        index = CohortIndex(scan)
     return index, scan.parse_reasons, scan.filter_reasons
 
 
-def _index_ranges(
-    fd: int,
-    bounds: list[int],
+def _ingest_raw(
+    raw: io.RawIOBase,
     policy: FilterPolicy,
     table: CodingTable,
-) -> tuple[CohortIndex, Counter, Counter] | None:
-    """:func:`_index_raw` summed over the file's ranges, or None when any fails.
+    kept: IO[str],
+    parse_rejects: IO[str] | None = None,
+    filter_rejects: IO[str] | None = None,
+) -> tuple[Counter, Counter]:
+    """Write a raw record stream's kept rows, as :func:`write_rows` writes
+    them but with no header, to ``kept``, and with reject streams each parse
+    and filter reject's report line (see :class:`RecordScan`); flush every
+    stream, and give the parse and filter reject counts by reason."""
+    rejects = None if parse_rejects is None else (parse_rejects, filter_rejects)
+    with text_input(raw) as stream:
+        scan = RecordScan(stream, policy, table, rejects=rejects)
+        _write_lines(scan, kept)
+    for stream in (kept, *(rejects or ())):
+        stream.flush()
+    return scan.parse_reasons, scan.filter_reasons
 
-    Range i is ``bounds[i]`` to ``bounds[i + 1]``, and each after the first
-    reads the header line before its own bytes.  This process indexes the
-    first range; each other one is indexed in a forked child, which sends
-    its result back as a pickle over a pipe and exits through ``os._exit``.
+
+def _run_ranges(
+    fd: int, bounds: list[int], work: Callable[[int, io.RawIOBase], object]
+) -> list | None:
+    """``work(i, raw)`` for each range i of the file, in range order, or None
+    when any fails.
+
+    Range i is ``bounds[i]`` to ``bounds[i + 1]``, and ``raw`` reads it,
+    after the header line for each range but the first.  This process runs
+    the first range; each other one runs in a forked child, which sends its
+    result back as a pickle over a pipe and exits through ``os._exit``.
     Every child is reaped before this returns or raises, and one still
     running then is killed first.
     """
@@ -805,10 +831,9 @@ def _index_ranges(
 
     header = (0, _line_end(fd, 0, bounds[-1]))
 
-    def index_range(i: int) -> tuple[CohortIndex, Counter, Counter]:
+    def run(i: int) -> object:
         span = (bounds[i], bounds[i + 1])
-        return _index_raw(_Spans(fd, [span] if i == 0 else [header, span]),
-                          policy, table)
+        return work(i, _Spans(fd, [span] if i == 0 else [header, span]))
 
     pids, pipes = [], []
     try:
@@ -824,26 +849,21 @@ def _index_ranges(
                     code = 1
                     try:
                         with open(w, "wb") as out:
-                            pickle.dump(index_range(i), out, pickle.HIGHEST_PROTOCOL)
+                            pickle.dump(run(i), out, pickle.HIGHEST_PROTOCOL)
                         code = 0
                     finally:
                         os._exit(code)
             finally:
                 os.close(w)
             pids.append(pid)
-        index, parse_reasons, filter_reasons = index_range(0)
+        first = run(0)
         sent = [pipe.read() for pipe in pipes]
         while pids:
             _, status = os.waitpid(pids[-1], 0)
             pids.pop()
             if status:  # its range failed, or it was killed
                 return None
-        for data in sent:
-            part, part_parse, part_filter = pickle.loads(data)
-            index.merge(part)
-            parse_reasons.update(part_parse)
-            filter_reasons.update(part_filter)
-        return index, parse_reasons, filter_reasons
+        return [first, *map(pickle.loads, sent)]
     except (ValueError, OSError):
         # a bad header or byte, a field over the csv limit, or no fork: the
         # one pass that follows raises what it raises, as --threads 1 would
@@ -854,6 +874,25 @@ def _index_ranges(
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _index_ranges(
+    fd: int,
+    bounds: list[int],
+    policy: FilterPolicy,
+    table: CodingTable,
+) -> tuple[CohortIndex, Counter, Counter] | None:
+    """:func:`_index_raw` summed over the file's ranges (see
+    :func:`_run_ranges`), or None when any fails."""
+    parts = _run_ranges(fd, bounds, lambda i, raw: _index_raw(raw, policy, table))
+    if parts is None:
+        return None
+    (index, parse_reasons, filter_reasons), *others = parts
+    for part, part_parse, part_filter in others:
+        index.merge(part)
+        parse_reasons.update(part_parse)
+        filter_reasons.update(part_filter)
+    return index, parse_reasons, filter_reasons
 
 
 def index_records(
@@ -870,7 +909,7 @@ def index_records(
     With ``workers`` above 1, a large regular file whose every line is one
     record (no quote, no lone CR) is split at line ends into up to
     ``min(workers, usable_cpus())`` ranges of at least ``_MIN_RANGE_BYTES``
-    bytes, which are indexed in parallel (see :func:`_index_ranges`) and
+    bytes, which are indexed in parallel (see :func:`_run_ranges`) and
     summed.  Every other file, and any run in which a range fails, is
     indexed in one pass, so an error is raised as that pass raises it.
     The counts are the same either way.  ``OSError`` is raised when the
@@ -883,6 +922,73 @@ def index_records(
             if done is not None:
                 return done
         return _index_raw(raw, policy, table)
+
+
+def ingest_records(
+    path: str,
+    policy: FilterPolicy,
+    table: CodingTable,
+    workers: int,
+    out: IO[str],
+    rejects: IO[str] | None,
+) -> tuple[Counter, Counter]:
+    """Write the kept rows of the record file at ``path`` to ``out`` as a
+    record file, each as :class:`RecordScan` yields it, and, when
+    ``rejects`` is not None, the rejection report to it: the parse rejects,
+    then the filter rejects, each in input order.  Gives the parse and
+    filter reject counts by reason, as :class:`Counter` objects.
+
+    The file is split into ranges as :func:`index_records` splits it.  Each
+    range, this process's own among them, writes its kept rows, parse
+    rejects and filter rejects to three anonymous temporary files (spools),
+    made before the fork; only once every range has succeeded are the
+    headers and the spools written, in range order: every range's kept rows
+    to ``out``, then every range's parse rejects and every range's filter
+    rejects to ``rejects``, which is the order of one pass.  When a range
+    fails nothing has been written, and the file is read in one pass,
+    which writes the kept rows and parse rejects as it reaches them and
+    spools only the filter rejects, so an error is raised as that pass
+    raises it.  ``OSError`` is raised when the file cannot be opened or
+    read.
+    """
+    import shutil
+    import tempfile
+
+    def spool() -> IO[str]:
+        return tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+
+    def append(spools: list[IO[str]], stream: IO[str]) -> None:
+        for part in spools:
+            part.seek(0)
+            shutil.copyfileobj(part, stream)
+
+    with io.FileIO(path) as raw:
+        bounds = _range_bounds(raw.fileno(), workers)
+        if bounds:
+            with ExitStack() as stack:
+                # kept rows, then with rejects parse and filter rejects; one
+                # spool of each kind per range
+                spools = [[stack.enter_context(spool()) for _ in bounds[1:]]
+                          for _ in range(1 if rejects is None else 3)]
+                counts = _run_ranges(raw.fileno(), bounds, lambda i, part: _ingest_raw(
+                    part, policy, table, *(kind[i] for kind in spools)))
+                if counts is not None:
+                    out.write(_line(RECORD_HEADER))
+                    append(spools[0], out)
+                    if rejects is not None:
+                        rejects.write(_line(REJECT_HEADER))
+                        append(spools[1] + spools[2], rejects)
+                    parse_reasons, filter_reasons = (sum(kind, Counter())
+                                                     for kind in zip(*counts))
+                    return parse_reasons, filter_reasons
+        out.write(_line(RECORD_HEADER))
+        if rejects is None:
+            return _ingest_raw(raw, policy, table, out)
+        rejects.write(_line(REJECT_HEADER))
+        with spool() as filtered:
+            counts = _ingest_raw(raw, policy, table, out, rejects, filtered)
+            append([filtered], rejects)
+        return counts
 
 
 def standardized_record(record: NameRecord, table: CodingTable) -> NameRecord:
@@ -943,6 +1049,11 @@ def write_rows(rows: Iterable[Sequence], stream: IO[str]) -> None:
     and each ``_WRITE_BATCH`` rows are joined into one write.
     """
     stream.write(_line(RECORD_HEADER))
+    _write_lines(rows, stream)
+
+
+def _write_lines(rows: Iterable[Sequence], stream: IO[str]) -> None:
+    """The rows of :func:`write_rows`, with no header."""
     rows = iter(rows)
     while batch := [
         f"{name},{sex},{'' if age is None else age},{year},{kind},{_field(location)},"

@@ -581,6 +581,33 @@ class TestIngest:
         growth = (peaks[1] - peaks[0]) / len(extra)
         assert growth <= 150, f"{growth:.1f} bytes per reject"
 
+    def test_peak_memory_flat_in_rejects(self, tmp_path):
+        """--rejects writes each reject's line as the pass reaches it (a
+        filter reject's to a temporary file), so the peak memory traced in a
+        one-process ingest of a file with 100,000 more rejects, half bad_sex
+        and half single_letter, each one repeated text that no memo grows
+        with, is that of the file without them, to within 128 KiB: holding
+        each line would take about 9 MB."""
+        kept = ["Mary,F,5,1880,census,,", "Ann,F,,1880,census,,"] * 1000
+        bad = ["Mary,X,5,1880,census,,", "J,F,5,1880,census,,"] * 50_000
+        peaks = []
+        for name, rows in (("base", kept), ("more", bad + kept)):
+            src = tmp_path / f"{name}.csv"
+            src.write_text(records_csv(rows), encoding="utf-8")
+            argv = ["ingest", "--records", str(src), "--coding-table", DEMO_TABLE,
+                    "--threads", "1", "--out", str(tmp_path / f"{name}-out.csv"),
+                    "--rejects", str(tmp_path / f"{name}-rejects.csv")]
+            assert main(argv) == 0  # loads every module untraced
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        report = (tmp_path / "more-rejects.csv").read_text(encoding="utf-8")
+        assert report.count("\n") == 1 + len(bad)
+        assert peaks[1] < peaks[0] + (128 << 10), peaks
+
 
 class TestNotes:
     """The stderr notes: reject totals, each reason's count, and the kept
@@ -1110,7 +1137,6 @@ class TestFlagsAreRead:
         ("ingest", "--k", "3"),
         ("ingest", "--min-count", "3"),
         ("ingest", "--format", "markdown"),
-        ("ingest", "--threads", "2"),
         ("ingest", "--sex", "M"),
         ("ingest", "--marriage-age", "999"),
         ("ingest", "--adult-age", "30"),
@@ -1182,6 +1208,20 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
                               capture_output=True, text=True, check=True)
         assert done.stdout == "False\n"
+
+    def test_cli_import_loads_no_spool_or_pickle_module(self):
+        """The modules of ingest's spools and of the ranged path's pickles
+        load when a ranged run starts: importing the CLI loads none of
+        tempfile, shutil and pickle that the interpreter had not already
+        loaded, so start-up does not pay for them."""
+        probe = ("import sys\n"
+                 "before = set(sys.modules)\n"
+                 "import namestats.cli\n"
+                 "loaded = set(sys.modules) - before\n"
+                 "print(sorted({'tempfile', 'shutil', 'pickle'} & loaded))\n")
+        done = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
 
     def test_cli_import_loads_only_corpus_and_standardize(self):
         code = ("import json, sys, namestats.cli\n"

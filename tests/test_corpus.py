@@ -7,7 +7,7 @@ import tempfile
 import threading
 import tracemalloc
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -206,8 +206,7 @@ def index_of(*records: NameRecord) -> CohortIndex:
     CLI reads one."""
     buf = io.StringIO()
     write_records(records, buf)
-    scan = RecordScan(io.StringIO(buf.getvalue()), FilterPolicy(), CodingTable(),
-                      keep_rejects=False)
+    scan = RecordScan(io.StringIO(buf.getvalue()), FilterPolicy(), CodingTable())
     return CohortIndex(scan)
 
 
@@ -531,6 +530,13 @@ def _report_lines(parse_rejects, filter_rejects) -> tuple[list[str], list[str]]:
             [_report_body([], [pair]) for pair in filter_rejects])
 
 
+class _Lines(list):
+    """A text stream that keeps each write as one item: the report lines
+    that a :class:`RecordScan` writes to it, one write call per line."""
+
+    write = list.append
+
+
 def _outcome(parse, text):
     try:
         return parse(io.StringIO(text))
@@ -560,8 +566,7 @@ class TestStreamingParserMatchesReference:
 
     def test_header_error_raised_before_iteration(self):
         with pytest.raises(ParseError):
-            RecordScan(io.StringIO("name,age\n"), FilterPolicy(), CodingTable(),
-                       keep_rejects=False)
+            RecordScan(io.StringIO("name,age\n"), FilterPolicy(), CodingTable())
 
 
 _NAMES = ["Mary", "Maria", "Marion", "Frances", "Polly", "John", "Jno", "Zelda",
@@ -598,10 +603,10 @@ class TestCohortIndex:
         parsed = parse_records(io.StringIO(text))
         filtered = filter_records(parsed.records, policy, demo_table)
 
-        scan = RecordScan(io.StringIO(text), policy, demo_table, keep_rejects=True)
+        lines = _Lines(), _Lines()
+        scan = RecordScan(io.StringIO(text), policy, demo_table, rejects=lines)
         index = CohortIndex(scan)
-        assert (scan.parse_rejected, scan.filter_rejected) == _report_lines(
-            parsed.rejected, filtered.rejected)
+        assert lines == _report_lines(parsed.rejected, filtered.rejected)
         assert scan.parse_reasons == Counter(row.reason for row in parsed.rejected)
         assert scan.filter_reasons == Counter(reason for _, reason in filtered.rejected)
         unresolved = sum(reference_corpus.birth_year(record, *ages) is None
@@ -625,8 +630,7 @@ class TestCohortIndex:
                                                     span):
         buf = io.StringIO()
         write_records(records, buf)
-        scan = RecordScan(io.StringIO(buf.getvalue()), FilterPolicy(), demo_table,
-                          keep_rejects=False)
+        scan = RecordScan(io.StringIO(buf.getvalue()), FilterPolicy(), demo_table)
         index = CohortIndex(scan)
         kept = filter_records(records, FilterPolicy(), demo_table).kept
         start, width = span
@@ -646,15 +650,16 @@ def _stream(text: str) -> io.StringIO:
 
 
 def _assert_scan_matches_reference(text, policy, table, ages):
-    """The scan of ``text``, with and without ``keep_rejects``, gives the kept
-    rows and the reject counts by reason of the reference scan, each reject's
-    report line as :func:`write_rejection_report` writes the reference's
-    reject, and the index of its rows at default ages ``ages`` the
+    """The scan of ``text``, with and without reject streams, gives the kept
+    rows and the reject counts by reason of the reference scan, writes each
+    reject's report line as :func:`write_rejection_report` writes the
+    reference's reject, and the index of its rows at default ages ``ages`` the
     reference's one-year cohorts, the reference's total over all birth years,
     and its count of rows with no birth year."""
     ref = reference_corpus.RecordScan(_stream(text), policy, table)
     ref_kept = list(ref)
-    scan = RecordScan(_stream(text), policy, table, keep_rejects=True)
+    lines = _Lines(), _Lines()
+    scan = RecordScan(_stream(text), policy, table, rejects=lines)
     rows = list(scan)
 
     assert rows == [
@@ -662,13 +667,13 @@ def _assert_scan_matches_reference(text, policy, table, ages):
          record_to_row(r)[-1])
         for r, name, sex in ref_kept
     ]
-    assert (scan.parse_rejected, scan.filter_rejected) == _report_lines(
-        ref.parse_rejected, ref.filter_rejected)
+    assert lines == _report_lines(ref.parse_rejected, ref.filter_rejected)
     assert scan.parse_reasons == Counter(row.reason for row in ref.parse_rejected)
     assert scan.filter_reasons == Counter(reason for _, reason in ref.filter_rejected)
-    counted = RecordScan(_stream(text), policy, table, keep_rejects=False)
+    counted = RecordScan(_stream(text), policy, table)
     assert list(counted) == rows
-    assert counted.parse_rejected == counted.filter_rejected == []
+    # with no stream, no report line is rendered, let alone kept
+    assert counted._write_parse is counted._write_filter is None
     assert counted.parse_reasons == scan.parse_reasons
     assert counted.filter_reasons == scan.filter_reasons
     index = CohortIndex(rows)
@@ -776,7 +781,7 @@ class TestMemoizedScanMatchesReference:
         """The name memo holds the distinct truncated names, the others the
         distinct raw texts of their column."""
         policy = FilterPolicy(require_native_born=native)
-        scan = RecordScan(_stream(text), policy, demo_table, keep_rejects=False)
+        scan = RecordScan(_stream(text), policy, demo_table)
         for _ in scan:
             pass
         header, *body = csv.reader(_stream(text))
@@ -860,7 +865,7 @@ class TestRejectsFromMemoValues:
 
     @pytest.mark.parametrize("header", [RECORD_HEADER, RECORD_HEADER[::-1]],
                              ids=["in_order", "reversed"])
-    @pytest.mark.parametrize("keep_rejects", [True, False])
+    @pytest.mark.parametrize("with_streams", [True, False])
     @pytest.mark.parametrize("row, native, want", [
         pytest.param([" ", "X", "5", "1880", "census", "", ""], False,
                      ",X,5,1880,census,,,empty_name\n", id="empty_name-before-bad_sex"),
@@ -884,26 +889,26 @@ class TestRejectsFromMemoValues:
                      'Zelda,U,,1880,marriage,"York, N.Y.",,unparseable_sex\n',
                      id="unparseable_sex"),
     ])
-    def test_first_reason_names_the_row(self, demo_table, header, keep_rejects, row,
+    def test_first_reason_names_the_row(self, demo_table, header, with_streams, row,
                                         native, want):
+        written = _Lines(), _Lines()
         scan = RecordScan(_stream(_written([row], header)),
                           FilterPolicy(require_native_born=native), demo_table,
-                          keep_rejects=keep_rejects)
+                          rejects=written if with_streams else None)
         rows = list(scan)
         if isinstance(want, tuple):
             assert rows == [want]
             assert scan.parse_reasons == scan.filter_reasons == Counter()
-            assert scan.parse_rejected == scan.filter_rejected == []
+            assert written == ([], [])
             return
         assert rows == []
         reason = want.rstrip("\n").rpartition(",")[2]
-        counts, lines = Counter([reason]), [want] if keep_rejects else []
+        counts, lines = Counter([reason]), [want] if with_streams else []
         if reason in _PARSE_REASONS:
             expected = (counts, Counter(), lines, [])
         else:
             expected = (Counter(), counts, [], lines)
-        assert (scan.parse_reasons, scan.filter_reasons,
-                scan.parse_rejected, scan.filter_rejected) == expected
+        assert (scan.parse_reasons, scan.filter_reasons, *written) == expected
 
     def test_no_record_is_built_on_the_scan_path(self, demo_table, tmp_path, capsys):
         """ingest --rejects and index_records write and count the same with
@@ -1003,21 +1008,21 @@ def _forks(min_range_bytes=1, cpus=None):
 
 
 @contextmanager
-def _passes(fail=None):
-    """Yields the list of passes this process makes through
-    ``corpus._index_raw``; ``fail`` is raised instead in a forked child."""
+def _passes(fail=None, work="_index_raw"):
+    """Yields the list of passes this process makes through the per-range
+    work ``corpus.<work>``; ``fail`` is raised instead in a forked child."""
     calls = []
-    parent, index_raw = os.getpid(), corpus._index_raw
+    parent, run = os.getpid(), getattr(corpus, work)
 
     def counted(*args):
         if os.getpid() == parent:
             calls.append(None)
         elif fail is not None:
             raise fail
-        return index_raw(*args)
+        return run(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(corpus, "_index_raw", counted)
+        mp.setattr(corpus, work, counted)
         yield calls
 
 
@@ -1179,3 +1184,168 @@ class TestIndexRecords:
         assert len(calls) == 1
         assert _waited_all()
         assert not (tmp_path / "out.csv").exists()
+
+
+def _ingest(path: Path, workers: int, *flags: str, old: bool = True) -> tuple:
+    """``main`` on ``ingest`` of ``path`` at ``--threads workers``, with
+    --out and --rejects in a directory of their own that already holds both
+    (with ``old``) or neither: the exit code, each output's bytes (None when
+    absent), stderr, and the files left in that directory."""
+    outputs = path.parent / "outputs"
+    outputs.mkdir(exist_ok=True)
+    out, rejects = outputs / "out.csv", outputs / "rejects.csv"
+    for output in (out, rejects):
+        if old:
+            output.write_bytes(b"old " + output.stem.encode() + b"\n")
+        else:
+            output.unlink(missing_ok=True)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["ingest", "--records", str(path), "--coding-table", str(DEMO_TABLE),
+                     "--out", str(out), "--rejects", str(rejects),
+                     "--threads", str(workers), *flags])
+    read = [output.read_bytes() if output.exists() else None for output in (out, rejects)]
+    return code, *read, err.getvalue(), sorted(os.listdir(outputs))
+
+
+@contextmanager
+def _ranged_runs():
+    """Yields a list to which each run of ``corpus._run_ranges`` appends
+    whether it gave its ranges' results (True) or failed (False)."""
+    runs, run_ranges = [], corpus._run_ranges
+
+    def counted(*args):
+        parts = run_ranges(*args)
+        runs.append(parts is not None)
+        return parts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_run_ranges", counted)
+        yield runs
+
+
+# a row that no pass can read, put after 6,000 good ones: invalid UTF-8, or a
+# field over the csv module's limit
+_BAD_SECOND_HALF = [
+    (b"Ma\xffry,F,5,1880,census,,\n", "error: 'utf-8' codec can't decode byte 0xff"),
+    (b"A" * 140_000 + b",F,5,1880,census,,\n",
+     "parse error: record file line 6002: field larger than field limit"),
+]
+
+
+class TestIngestRecords:
+    """ingest's ranges, spooled in forked processes, against one pass."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text=st.one_of(record_files(), ordered_or_reordered_files(), line_files()),
+        workers=st.integers(2, 6),
+        native=st.booleans(),
+        generic=st.lists(st.sampled_from(["Mary", "zelda", " Ann", "Widow"]), max_size=2),
+        read_bytes=st.integers(1, 8),
+    )
+    # kept rows that differ, and both kinds of reject, in every range
+    @example(text=records_csv(["Mary,F,5,1880,census,,", "Mary,X,5,1880,census,,",
+                               "Ann,F,6,1880,census,,", "J,F,5,1880,census,,",
+                               "Jane,F,7,1880,census,York,", "Zelda,F,8,1880,census,,"]),
+             workers=3, native=False, generic=[], read_bytes=3)
+    def test_ranges_equal_one_pass(self, text, workers, native, generic, read_bytes):
+        flags = ["--require-native-born"] * native + [f"--generic={g}" for g in generic]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            path.write_bytes(text.encode("utf-8"))
+            want = _ingest(path, 1, *flags, old=False)
+            # reads of a few bytes put CRLFs and line ends across read boundaries
+            with _forks(cpus=6) as calls, pytest.MonkeyPatch.context() as mp:
+                mp.setattr(corpus, "_READ_BYTES", read_bytes)
+                got = _ingest(path, workers, *flags, old=False)
+        assert got == want
+        assert len(calls) <= workers - 1
+        assert _waited_all()
+
+    def test_spools_in_range_order(self, tmp_path):
+        """Every range's kept rows come before any reject, and every parse
+        reject before any filter reject, as in one pass."""
+        rows = []
+        for i in range(300):
+            rows += [f"Name{chr(65 + i % 26)}a,F,{i % 90},1880,census,,",
+                     f"Mary,X,{i % 90},1880,census,,", f"J,F,{i % 90},1880,census,,"]
+        path = tmp_path / "r.csv"
+        path.write_text(records_csv(rows), encoding="utf-8")
+        want = _ingest(path, 1)
+        with _ranged_runs() as runs, _forks(min_range_bytes=1024, cpus=4) as calls:
+            assert _ingest(path, 4) == want
+        assert runs == [True]
+        assert len(calls) == 3
+        assert _waited_all()
+        reasons = [line.rpartition(b",")[2] for line in want[2].splitlines()[1:]]
+        assert reasons == [b"bad_sex"] * 300 + [b"single_letter"] * 300
+
+    @pytest.mark.parametrize("bad_row, message", _BAD_SECOND_HALF,
+                             ids=["invalid_utf8", "oversized_field"])
+    def test_error_in_second_range_as_one_pass(self, tmp_path, bad_row, message):
+        path = tmp_path / "r.csv"
+        head = records_csv(["Mary,F,5,1880,census,,"] * 6000).encode("utf-8")
+        path.write_bytes(head + bad_row + b"Ann,F,5,1880,census,,\n" * 10)
+        want = _ingest(path, 1)
+        code, out, rejects, err, left = want
+        assert code == 1
+        assert err.startswith(message) and err.count("\n") == 1
+        assert (out, rejects) == (b"old out\n", b"old rejects\n")
+        assert left == ["out.csv", "rejects.csv"]
+        with _ranged_runs() as runs, _forks(min_range_bytes=1024, cpus=2) as calls:
+            assert _ingest(path, 2) == want
+        assert runs == [False]
+        assert len(calls) == 1
+        assert _waited_all()
+
+    def test_failed_child_falls_back_to_one_pass(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(records_csv(["Mary,F,5,1880,census,,", "J,F,5,1880,census,,",
+                                     "Mary,X,5,1880,census,,"] * 100), encoding="utf-8")
+        want = _ingest(path, 1)
+        assert want[0] == 0
+        with _forks(cpus=3) as calls, \
+                _passes(fail=RuntimeError("child fails"), work="_ingest_raw") as passes:
+            assert _ingest(path, 3) == want
+        assert len(calls) == 2
+        assert len(passes) == 2  # the first range, then the whole file
+        assert _waited_all()
+
+    def test_interrupt_kills_and_reaps_children(self, demo_table, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(records_csv(["Mary,F,5,1880,census,,"] * 200), encoding="utf-8")
+        parent, ingest_raw = os.getpid(), corpus._ingest_raw
+
+        def interrupted_here(*a):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return ingest_raw(*a)
+
+        out, rejects = io.StringIO(), io.StringIO()
+        with _forks(cpus=3) as calls, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "_ingest_raw", interrupted_here)
+            with pytest.raises(KeyboardInterrupt):
+                corpus.ingest_records(str(path), FilterPolicy(), demo_table, 3, out, rejects)
+        assert len(calls) == 2
+        assert _waited_all()
+        assert out.getvalue() == rejects.getvalue() == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_output_named(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text(records_csv(["Mary,F,5,1880,census,Leeds,"] * 6000),
+                        encoding="utf-8")
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        with _ranged_runs() as runs, _forks(min_range_bytes=1024, cpus=2) as calls:
+            code = main(["ingest", "--records", str(path), "--out", "/dev/full",
+                         "--rejects", str(outputs / "rejects.csv"), "--threads", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write /dev/full: [Errno 28] ")
+        assert err.count("\n") == 1
+        assert runs == [True]
+        assert len(calls) == 1
+        assert _waited_all()
+        assert os.listdir(outputs) == []
