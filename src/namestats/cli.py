@@ -11,35 +11,39 @@ not bad input), printed as "internal error: ...".
 Each subcommand takes only the options it reads (see `namestats CMD -h`).
 Every one writes to --out (default stdout); all but ingest and simulate
 take --format.  ingest, stats, comm and fit read --records under
---coding-table, --require-native-born, --generic and --threads; stats, comm
-and fit also take --sex, --marriage-age and --adult-age.  A --generic name
-is truncated like a record's name, and one with fewer than two leading
-letters is an exit-1 error.
+--coding-table, --require-native-born and --generic; stats, comm and fit
+also take --sex, --marriage-age, --adult-age and --threads.  A --generic
+name is truncated like a record's name, and one with fewer than two
+leading letters is an exit-1 error.
 
---threads N (at least 1; by default the CPUs this process may run on) lets
-ingest, stats, comm and fit split a regular --records file at line ends
-into at most min(N, usable CPUs, size // 1 MiB) byte ranges, read the first
-here and each other one in a forked child, and sum the counts (see
-corpus.index_records and corpus.ingest_records).  A file with a quote or a
-CR outside a CRLF, which could put a line end inside a record, is read in
-one pass, as is any file when a range fails, so errors are those of
---threads 1, which reads in one process.
+--threads N (at least 1, default 1) lets stats, comm and fit split a
+regular --records file at line ends into at most min(N, usable CPUs,
+size // 1 MiB) byte ranges, index the first here and each other one in a
+forked child, and sum the counts (see corpus.index_records).  ingest takes
+no --threads: it splits the file the same way into at most min(usable
+CPUs, size // 1 MiB) ranges, the CPUs being those this process may run on,
+so `taskset -c 0` makes it read in one pass (see corpus.ingest_records).
+A file with a quote or a CR outside a CRLF, which could put a line end
+inside a record, is read in one pass, as is any file when a range fails,
+so errors are those of one pass.
 
 ingest, stats, comm and fit read each range of the record file in one
 streaming pass that decodes each distinct field text once and each kept
 row by table lookups (see corpus.RecordScan).  Each counts the rejects by
 reason, and only ingest --rejects writes the rejects, each as its report
-line as the pass reaches it, holding none: the parse rejects, then the
+line as the pass reaches it: the parse rejects, then the
 filter rejects, each in input order.  ingest writes the kept rows, each
 batch of 1,024 rows joined into one text and one write (see
-corpus.write_rows).  Run in one process it writes the kept rows and the
-parse rejects to --out and --rejects as the pass reaches them, and the
-filter rejects to an anonymous temporary file (a spool) that is appended
-to --rejects after the pass.  On ranges, each range writes its kept rows,
-parse rejects and filter rejects to three spools, and only once every
-range has succeeded are the headers and the spools written, in range
+corpus.write_rows).  In one pass it writes the kept rows and the parse
+rejects to --out and --rejects as the pass reaches them, and the filter
+rejects to an anonymous temporary file (a spool) that is appended to
+--rejects after the pass; with no temporary directory to write in, it
+holds the filter reject lines instead.  On ranges, each range writes its
+kept rows, parse rejects and filter rejects to three spools, and only once
+every range has succeeded are the headers and the spools written, in range
 order: every range's kept rows, then every range's parse rejects, then
-every range's filter rejects, the order of one pass.  The others count
+every range's filter rejects, the order of one pass.  When the spools
+cannot be made, ingest reads in one pass.  stats, comm and fit count
 each row into a birth-year cohort index, so memory grows with distinct
 names times birth years, not with rows or rejects, and every cohort is
 then read from the index.  A run with rejects notes on stderr "note:
@@ -194,9 +198,6 @@ def _record_flags(parser: argparse.ArgumentParser) -> None:
         metavar="NAME",
         help="extra generic name to reject (repeatable)",
     )
-    parser.add_argument("--threads", type=_positive_int, default=corpus.usable_cpus(),
-                        help="read --records in up to this many processes "
-                             "(default: the CPUs this process may run on)")
 
 
 def _cohort_flags(parser: argparse.ArgumentParser) -> None:
@@ -205,6 +206,8 @@ def _cohort_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sex", choices=("F", "M", "both"), default="both")
     parser.add_argument("--marriage-age", type=int, default=corpus.DEFAULT_AGE_MARRIAGE)
     parser.add_argument("--adult-age", type=int, default=corpus.DEFAULT_AGE_ADULT)
+    parser.add_argument("--threads", type=_positive_int, default=1,
+                        help="index --records in up to this many processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,12 +288,15 @@ class _File(io.FileIO):
             raise CliError(f"cannot write {self.label}: {exc}", EXIT_PARSE) from exc
 
 
-def _open_input(path: str) -> io.TextIOWrapper:
+def _open_raw(path: str) -> _File:
     try:
-        raw = _File(path, "r", path)
+        return _File(path, "r", path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
-    return corpus.text_input(raw)
+
+
+def _open_input(path: str) -> io.TextIOWrapper:
+    return corpus.text_input(_open_raw(path))
 
 
 def _load_table(args) -> CodingTable:
@@ -326,24 +332,17 @@ def _note_rejects(parse_reasons: Counter, filter_reasons: Counter,
               "kind; no cohort counts them", file=sys.stderr)
 
 
-def _read_records(args, read, *outputs):
-    """``read(--records, policy, table, --threads, *outputs)`` under
-    --coding-table and the filter flags, an error reading --records made a
-    CliError naming it."""
-    policy, table = _policy_and_table(args)
-    try:
-        return read(args.records, policy, table, args.threads, *outputs)
-    except BrokenPipeError:  # stdout's reader has gone: main handles it
-        raise
-    except OSError as exc:
-        raise CliError(f"cannot read {args.records}: {exc}", EXIT_PARSE) from exc
-
-
 def _index_records(args) -> corpus.CohortIndex:
     """The cohort index of --records under --coding-table and the filter
     flags, built by up to --threads processes; notes the reject counts and
     the rows with no birth year.  Each cohort's spec brings the default ages."""
-    index, parse_reasons, filter_reasons = _read_records(args, corpus.index_records)
+    policy, table = _policy_and_table(args)
+    try:
+        index, parse_reasons, filter_reasons = corpus.index_records(
+            args.records, policy, table, args.threads
+        )
+    except OSError as exc:
+        raise CliError(f"cannot read {args.records}: {exc}", EXIT_PARSE) from exc
     _note_rejects(parse_reasons, filter_reasons, index.unresolved)
     return index
 
@@ -451,9 +450,11 @@ def _spec(args, sex: Sex, span: tuple[int, int]) -> CohortSpec:
 
 def _cmd_ingest(args) -> int:
     with _outputs(args.out, args.rejects) as (out, rejects):
-        parse_reasons, filter_reasons = _read_records(args, corpus.ingest_records,
-                                                      out, rejects)
-        _note_rejects(parse_reasons, filter_reasons)
+        policy, table = _policy_and_table(args)
+        with _open_raw(args.records) as raw:
+            counts = corpus.ingest_records(raw, policy, table, corpus.usable_cpus(),
+                                           out, rejects)
+        _note_rejects(*counts)
     return EXIT_OK
 
 

@@ -726,26 +726,30 @@ def _line_end(fd: int, pos: int, size: int) -> int:
 
 
 def _range_bounds(fd: int, workers: int) -> list[int]:
-    """The offsets that bound the byte ranges of a record file to index
+    """The offsets that bound the byte ranges of a record file to read
     separately, from 0 to its size, each range after the first starting a
-    line after the header; empty when the file is indexed as one range.
+    line after the header; empty when the file is read as one range, as it
+    is when reading it for the split fails.
 
     A regular file is split into at most ``min(workers, usable_cpus(),
     size // _MIN_RANGE_BYTES)`` ranges of about equal size when
     :func:`_splittable` finds that its lines are its records and this
     process runs no other thread.
     """
-    st = os.fstat(fd)
-    size = st.st_size
-    parts = min(workers, usable_cpus(), size // _MIN_RANGE_BYTES)
-    # a forked child gets only the thread that forked it, so a process with
-    # others could deadlock in the child on a lock one of them held
-    if (parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1
-            or not S_ISREG(st.st_mode) or not _splittable(fd, size)):
+    try:
+        st = os.fstat(fd)
+        size = st.st_size
+        parts = min(workers, usable_cpus(), size // _MIN_RANGE_BYTES)
+        # a forked child gets only the thread that forked it, so a process
+        # with others could deadlock in the child on a lock one of them held
+        if (parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1
+                or not S_ISREG(st.st_mode) or not _splittable(fd, size)):
+            return []
+        # no LF comes before the header line's, so every range but the first
+        # starts past the header
+        starts = {_line_end(fd, size * i // parts, size) for i in range(1, parts)}
+    except OSError:  # the one pass meets the error, and raises it as its own
         return []
-    # no LF comes before the header line's, so every range but the first
-    # starts past the header
-    starts = {_line_end(fd, size * i // parts, size) for i in range(1, parts)}
     starts.discard(size)
     return [0, *sorted(starts), size] if starts else []
 
@@ -925,18 +929,18 @@ def index_records(
 
 
 def ingest_records(
-    path: str,
+    raw: io.FileIO,
     policy: FilterPolicy,
     table: CodingTable,
     workers: int,
     out: IO[str],
     rejects: IO[str] | None,
 ) -> tuple[Counter, Counter]:
-    """Write the kept rows of the record file at ``path`` to ``out`` as a
-    record file, each as :class:`RecordScan` yields it, and, when
-    ``rejects`` is not None, the rejection report to it: the parse rejects,
-    then the filter rejects, each in input order.  Gives the parse and
-    filter reject counts by reason, as :class:`Counter` objects.
+    """Write the kept rows of the record file that ``raw`` reads from its
+    start to ``out`` as a record file, each as :class:`RecordScan` yields
+    it, and, when ``rejects`` is not None, the rejection report to it: the
+    parse rejects, then the filter rejects, each in input order.  Gives the
+    parse and filter reject counts by reason, as :class:`Counter` objects.
 
     The file is split into ranges as :func:`index_records` splits it.  Each
     range, this process's own among them, writes its kept rows, parse
@@ -945,11 +949,11 @@ def ingest_records(
     headers and the spools written, in range order: every range's kept rows
     to ``out``, then every range's parse rejects and every range's filter
     rejects to ``rejects``, which is the order of one pass.  When a range
-    fails nothing has been written, and the file is read in one pass,
-    which writes the kept rows and parse rejects as it reaches them and
-    spools only the filter rejects, so an error is raised as that pass
-    raises it.  ``OSError`` is raised when the file cannot be opened or
-    read.
+    fails, or the spools cannot be made, nothing has been written, and the
+    file is read through ``raw`` in one pass, which writes the kept rows and
+    parse rejects as it reaches them and spools only the filter rejects (or,
+    with no temporary file to be had, holds them), so an error is raised as
+    that pass raises it.
     """
     import shutil
     import tempfile
@@ -962,33 +966,40 @@ def ingest_records(
             part.seek(0)
             shutil.copyfileobj(part, stream)
 
-    with io.FileIO(path) as raw:
-        bounds = _range_bounds(raw.fileno(), workers)
-        if bounds:
-            with ExitStack() as stack:
+    bounds = _range_bounds(raw.fileno(), workers)
+    if bounds:
+        with ExitStack() as stack:
+            try:
                 # kept rows, then with rejects parse and filter rejects; one
                 # spool of each kind per range
                 spools = [[stack.enter_context(spool()) for _ in bounds[1:]]
                           for _ in range(1 if rejects is None else 3)]
+            except OSError:  # no temporary directory to write in
+                counts = None
+            else:
                 counts = _run_ranges(raw.fileno(), bounds, lambda i, part: _ingest_raw(
                     part, policy, table, *(kind[i] for kind in spools)))
-                if counts is not None:
-                    out.write(_line(RECORD_HEADER))
-                    append(spools[0], out)
-                    if rejects is not None:
-                        rejects.write(_line(REJECT_HEADER))
-                        append(spools[1] + spools[2], rejects)
-                    parse_reasons, filter_reasons = (sum(kind, Counter())
-                                                     for kind in zip(*counts))
-                    return parse_reasons, filter_reasons
-        out.write(_line(RECORD_HEADER))
-        if rejects is None:
-            return _ingest_raw(raw, policy, table, out)
-        rejects.write(_line(REJECT_HEADER))
-        with spool() as filtered:
-            counts = _ingest_raw(raw, policy, table, out, rejects, filtered)
-            append([filtered], rejects)
-        return counts
+            if counts is not None:
+                out.write(_line(RECORD_HEADER))
+                append(spools[0], out)
+                if rejects is not None:
+                    rejects.write(_line(REJECT_HEADER))
+                    append(spools[1] + spools[2], rejects)
+                parse_reasons, filter_reasons = (sum(kind, Counter())
+                                                 for kind in zip(*counts))
+                return parse_reasons, filter_reasons
+    out.write(_line(RECORD_HEADER))
+    if rejects is None:
+        return _ingest_raw(raw, policy, table, out)
+    rejects.write(_line(REJECT_HEADER))
+    try:
+        filtered = spool()
+    except OSError:  # no temporary directory to write in
+        filtered = io.StringIO()
+    with filtered:
+        counts = _ingest_raw(raw, policy, table, out, rejects, filtered)
+        append([filtered], rejects)
+    return counts
 
 
 def standardized_record(record: NameRecord, table: CodingTable) -> NameRecord:

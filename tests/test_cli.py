@@ -581,13 +581,14 @@ class TestIngest:
         growth = (peaks[1] - peaks[0]) / len(extra)
         assert growth <= 150, f"{growth:.1f} bytes per reject"
 
-    def test_peak_memory_flat_in_rejects(self, tmp_path):
+    def test_peak_memory_flat_in_rejects(self, tmp_path, monkeypatch):
         """--rejects writes each reject's line as the pass reaches it (a
         filter reject's to a temporary file), so the peak memory traced in a
-        one-process ingest of a file with 100,000 more rejects, half bad_sex
-        and half single_letter, each one repeated text that no memo grows
-        with, is that of the file without them, to within 128 KiB: holding
-        each line would take about 9 MB."""
+        one-process ingest (one usable CPU) of a file with 100,000 more
+        rejects, half bad_sex and half single_letter, each one repeated text
+        that no memo grows with, is that of the file without them, to within
+        128 KiB: holding each line would take about 9 MB."""
+        monkeypatch.setattr(corpus, "usable_cpus", lambda: 1)
         kept = ["Mary,F,5,1880,census,,", "Ann,F,,1880,census,,"] * 1000
         bad = ["Mary,X,5,1880,census,,", "J,F,5,1880,census,,"] * 50_000
         peaks = []
@@ -595,7 +596,7 @@ class TestIngest:
             src = tmp_path / f"{name}.csv"
             src.write_text(records_csv(rows), encoding="utf-8")
             argv = ["ingest", "--records", str(src), "--coding-table", DEMO_TABLE,
-                    "--threads", "1", "--out", str(tmp_path / f"{name}-out.csv"),
+                    "--out", str(tmp_path / f"{name}-out.csv"),
                     "--rejects", str(tmp_path / f"{name}-rejects.csv")]
             assert main(argv) == 0  # loads every module untraced
             tracemalloc.start()
@@ -1137,6 +1138,7 @@ class TestFlagsAreRead:
         ("ingest", "--k", "3"),
         ("ingest", "--min-count", "3"),
         ("ingest", "--format", "markdown"),
+        ("ingest", "--threads", "2"),
         ("ingest", "--sex", "M"),
         ("ingest", "--marriage-age", "999"),
         ("ingest", "--adult-age", "30"),

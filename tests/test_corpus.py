@@ -3,6 +3,7 @@ import errno
 import io
 import os
 import random
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import namestats
-from namestats import corpus
+from namestats import cli, corpus
 from namestats import (
     CodingTable,
     Cohort,
@@ -1186,11 +1187,12 @@ class TestIndexRecords:
         assert not (tmp_path / "out.csv").exists()
 
 
-def _ingest(path: Path, workers: int, *flags: str, old: bool = True) -> tuple:
-    """``main`` on ``ingest`` of ``path`` at ``--threads workers``, with
-    --out and --rejects in a directory of their own that already holds both
-    (with ``old``) or neither: the exit code, each output's bytes (None when
-    absent), stderr, and the files left in that directory."""
+def _ingest(path: Path, cpus: int, *flags: str, old: bool = True) -> tuple:
+    """``main`` on ``ingest`` of ``path`` with ``cpus`` usable CPUs (one
+    reads it in one pass), with --out and --rejects in a directory of their
+    own that already holds both (with ``old``) or neither: the exit code,
+    each output's bytes (None when absent), stderr, and the files left in
+    that directory."""
     outputs = path.parent / "outputs"
     outputs.mkdir(exist_ok=True)
     out, rejects = outputs / "out.csv", outputs / "rejects.csv"
@@ -1200,10 +1202,10 @@ def _ingest(path: Path, workers: int, *flags: str, old: bool = True) -> tuple:
         else:
             output.unlink(missing_ok=True)
     err = io.StringIO()
-    with redirect_stderr(err):
+    with redirect_stderr(err), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "usable_cpus", lambda: cpus)
         code = main(["ingest", "--records", str(path), "--coding-table", str(DEMO_TABLE),
-                     "--out", str(out), "--rejects", str(rejects),
-                     "--threads", str(workers), *flags])
+                     "--out", str(out), "--rejects", str(rejects), *flags])
     read = [output.read_bytes() if output.exists() else None for output in (out, rejects)]
     return code, *read, err.getvalue(), sorted(os.listdir(outputs))
 
@@ -1256,7 +1258,7 @@ class TestIngestRecords:
             path.write_bytes(text.encode("utf-8"))
             want = _ingest(path, 1, *flags, old=False)
             # reads of a few bytes put CRLFs and line ends across read boundaries
-            with _forks(cpus=6) as calls, pytest.MonkeyPatch.context() as mp:
+            with _forks(cpus=workers) as calls, pytest.MonkeyPatch.context() as mp:
                 mp.setattr(corpus, "_READ_BYTES", read_bytes)
                 got = _ingest(path, workers, *flags, old=False)
         assert got == want
@@ -1323,10 +1325,11 @@ class TestIngestRecords:
             return ingest_raw(*a)
 
         out, rejects = io.StringIO(), io.StringIO()
-        with _forks(cpus=3) as calls, pytest.MonkeyPatch.context() as mp:
+        with (_forks(cpus=3) as calls, pytest.MonkeyPatch.context() as mp,
+              io.FileIO(path) as raw):
             mp.setattr(corpus, "_ingest_raw", interrupted_here)
             with pytest.raises(KeyboardInterrupt):
-                corpus.ingest_records(str(path), FilterPolicy(), demo_table, 3, out, rejects)
+                corpus.ingest_records(raw, FilterPolicy(), demo_table, 3, out, rejects)
         assert len(calls) == 2
         assert _waited_all()
         assert out.getvalue() == rejects.getvalue() == ""
@@ -1340,7 +1343,7 @@ class TestIngestRecords:
         outputs.mkdir()
         with _ranged_runs() as runs, _forks(min_range_bytes=1024, cpus=2) as calls:
             code = main(["ingest", "--records", str(path), "--out", "/dev/full",
-                         "--rejects", str(outputs / "rejects.csv"), "--threads", "2"])
+                         "--rejects", str(outputs / "rejects.csv")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("cannot write /dev/full: [Errno 28] ")
@@ -1349,3 +1352,46 @@ class TestIngestRecords:
         assert len(calls) == 1
         assert _waited_all()
         assert os.listdir(outputs) == []
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one_pass", "ranged"])
+    def test_no_temporary_directory(self, tmp_path, cpus):
+        """With no temporary directory to write in, a ranged run reads in one
+        pass, and one pass holds its filter rejects: the bytes are those
+        written with one."""
+        path = tmp_path / "r.csv"
+        path.write_text(records_csv(["Mary,F,5,1880,census,,", "J,F,5,1880,census,,",
+                                     "Mary,X,5,1880,census,,"] * 400), encoding="utf-8")
+        want = _ingest(path, 1)
+        assert want[0] == 0 and want[2].count(b"\n") == 801
+        not_a_directory = tmp_path / "file"
+        not_a_directory.write_text("")
+        with _ranged_runs() as runs, _forks(min_range_bytes=1024, cpus=cpus) as calls, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tempfile, "tempdir", str(not_a_directory))
+            with pytest.raises(OSError):
+                tempfile.TemporaryFile()
+            assert _ingest(path, cpus) == want
+        assert runs == [] and calls == []
+        assert _waited_all()
+
+    def test_only_read_errors_name_the_records(self, tmp_path, capsys):
+        """An error reading --records is named as one; an error writing
+        stdout is not made one."""
+        path = tmp_path / "r.csv"
+        path.write_text(records_csv(["Mary,F,5,1880,census,,"] * 10), encoding="utf-8")
+        argv = ["ingest", "--records", str(path)]
+
+        class FailingRead(io.FileIO):
+            def readinto(self, buffer):
+                raise OSError(errno.EIO, "Input/output error")
+
+        class FailingFile(cli._File, FailingRead):
+            """cli's file, over a read that fails."""
+
+        with mock.patch.object(cli, "_File", FailingFile):
+            assert main(argv) == 1
+        assert capsys.readouterr().err == f"cannot read {path}: [Errno 5] Input/output error\n"
+        with mock.patch.object(sys, "stdout", mock.Mock(write=mock.Mock(
+                side_effect=OSError(errno.ENOSPC, "No space left on device")))):
+            with pytest.raises(OSError, match="No space left"):
+                main(argv)
