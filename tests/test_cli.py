@@ -1,5 +1,7 @@
 import argparse
 import csv
+import errno
+import gc
 import io
 import json
 import os
@@ -1095,6 +1097,181 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"cannot write {meta}: ")
 
+
+def _snapshot(directory: Path) -> dict[str, object]:
+    """Each entry of ``directory``: a symlink's target, else a file's bytes."""
+    return {p.name: ("->", os.readlink(p)) if p.is_symlink() else p.read_bytes()
+            for p in directory.iterdir()}
+
+
+def _refuse_rename(monkeypatch, refused) -> list[tuple[str, str]]:
+    """Make ``os.rename(src, dst)`` fail with EACCES where ``refused(src,
+    dst)`` holds; returns the list of every rename asked for."""
+    rename, asked = os.rename, []
+
+    def patched(src, dst):
+        asked.append((os.fspath(src), os.fspath(dst)))
+        if refused(os.fspath(src), os.fspath(dst)):
+            raise OSError(errno.EACCES, "refused", dst)
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", patched)
+    return asked
+
+
+class TestOutputLanding:
+    """An output lands by renaming the old file aside and the staged one
+    into place, never by a rename onto a file.  When a rename fails, every
+    output path is left as it was, byte for byte, with no staged or aside
+    file behind (two outputs naming one file: see
+    TestErrorPaths.test_two_outputs_one_file_exit_1_before_reading)."""
+
+    @pytest.fixture
+    def records(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(records_csv(["Mary,F,5,1880,census,Leeds,true",
+                                     "Mrs,F,40,1880,census,,"] * 50), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("refused", ["aside", "into place"])
+    def test_failed_rename_leaves_the_old_file(self, records, tmp_path, capsys,
+                                               monkeypatch, refused):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old report\n")
+        before = _snapshot(tmp_path)
+        if refused == "aside":
+            _refuse_rename(monkeypatch, lambda src, dst: src == str(out))
+        else:
+            _refuse_rename(monkeypatch, lambda src, dst: dst == str(out))
+        code = main(["ingest", "--records", str(records), "--out", str(out)])
+        assert code == 1
+        # the notes come first: they are printed before the outputs land
+        *_, err = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"cannot write {out}: [Errno 13] refused")
+        assert _snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("old_out", [True, False])
+    def test_second_output_fails(self, records, tmp_path, capsys, monkeypatch, old_out):
+        """--out lands, then --rejects cannot: --out gets its old bytes back,
+        or is removed when it named no file before the run."""
+        out, rejects = tmp_path / "out.csv", tmp_path / "rej.csv"
+        if old_out:
+            out.write_bytes(b"old report\n")
+        rejects.write_bytes(b"old rejects\n")
+        before = _snapshot(tmp_path)
+        asked = _refuse_rename(monkeypatch, lambda src, dst: dst == str(rejects))
+        code = main(["ingest", "--records", str(records), "--out", str(out),
+                     "--rejects", str(rejects)])
+        assert code == 1
+        *_, err = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"cannot write {rejects}: [Errno 13] refused")
+        assert str(out) in [dst for _, dst in asked]  # --out had landed
+        assert _snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_out_names_records(self, records, tmp_path, monkeypatch, fails):
+        want = tmp_path / "want.csv"
+        assert main(["ingest", "--records", str(records), "--out", str(want)]) == 0
+        expected = want.read_bytes()
+        want.unlink()
+        before = _snapshot(tmp_path)
+        if fails:
+            _refuse_rename(monkeypatch, lambda src, dst: dst == str(records))
+        code = main(["ingest", "--records", str(records), "--out", str(records)])
+        assert code == (1 if fails else 0)
+        if fails:
+            assert _snapshot(tmp_path) == before
+        else:
+            assert _snapshot(tmp_path) == {"records.csv": expected}
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_symlink_target(self, records, tmp_path, monkeypatch, fails):
+        """--out through a symlink replaces the file it names and keeps the
+        link; a failed rename keeps both as they were."""
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_bytes(b"old report\n")
+        link.symlink_to(real)
+        before = _snapshot(tmp_path)
+        if fails:
+            _refuse_rename(monkeypatch, lambda src, dst: dst == str(real))
+        code = main(["ingest", "--records", str(records), "--out", str(link)])
+        assert code == (1 if fails else 0)
+        if fails:
+            assert _snapshot(tmp_path) == before
+        else:
+            after = _snapshot(tmp_path)
+            assert sorted(after) == sorted(before)
+            assert after["link.csv"] == before["link.csv"]
+            assert after["real.csv"].startswith(b"name,sex,age,year")
+
+    def test_rerun_lands_without_a_rename_onto_a_file(self, records, tmp_path,
+                                                      monkeypatch):
+        """A run into the outputs of the run before renames nothing onto an
+        existing file, and leaves the same bytes as a run into new paths."""
+        argv = ["ingest", "--records", str(records), "--out", str(tmp_path / "out.csv"),
+                "--rejects", str(tmp_path / "rej.csv")]
+        assert main(argv) == 0
+        fresh = _snapshot(tmp_path)
+        asked = _refuse_rename(monkeypatch, lambda src, dst: os.path.lexists(dst))
+        assert main(argv) == 0
+        assert len(asked) == 4  # each output: old file aside, new one into place
+        assert _snapshot(tmp_path) == fresh
+
+
+class TestProgramEntry:
+    @pytest.mark.parametrize("argv, code", [
+        (["samplevar", "--out", "OUT"], 0),
+        (["samplevar", "--bogus"], 1),
+    ])
+    def test_run_freezes_and_exits_with_main_code(self, tmp_path, monkeypatch,
+                                                  argv, code):
+        out = tmp_path / "out.csv"
+        argv = [str(out) if arg == "OUT" else arg for arg in argv]
+        monkeypatch.setattr(sys, "argv", ["namestats", *argv])
+        before = gc.get_freeze_count()
+        try:
+            with pytest.raises(SystemExit) as exited:
+                cli.run()
+            assert exited.value.code == code
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
+        assert out.exists() == (code == 0)
+
+    def test_main_freezes_nothing(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["samplevar", "--out", str(tmp_path / "out.csv")]) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, outputs", [
+        (["stats", "--records", "RECORDS", "--span", "1870:1879", "--sex", "F"], []),
+        (["ingest", "--records", "RECORDS", "--rejects", "rej.csv"], ["rej.csv"]),
+        (["simulate", "--alpha", "0.1", "--births", "500", "--out", "sim.csv"],
+         ["sim.csv", "sim.csv.meta.json"]),
+    ])
+    def test_module_run_equals_main(self, mini_corpus, tmp_path, capsys, argv, outputs):
+        """python -m namestats.cli, which enters through run(), gives main's
+        exit code, stdout, stderr and output bytes."""
+        records = tmp_path / "with_rejects.csv"
+        records.write_text(mini_corpus.read_text(encoding="utf-8")
+                           + "Mrs,F,40,1880,census,,\nMary,Q,5,1880,census,,\n",
+                           encoding="utf-8")
+        argv = [str(records) if arg == "RECORDS" else
+                str(tmp_path / arg) if arg in outputs else arg for arg in argv]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "namestats.cli", *argv],
+                              env=env, capture_output=True)
+        spawned = {name: (tmp_path / name).read_bytes() for name in outputs}
+        for name in outputs:
+            (tmp_path / name).unlink()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert proc.returncode == code == 0
+        assert proc.stdout.decode("utf-8") == captured.out
+        assert proc.stderr.decode("utf-8") == captured.err
+        assert spawned == {name: (tmp_path / name).read_bytes() for name in outputs}
+        if argv[0] != "simulate":
+            assert captured.err.startswith("note: rejected 1 rows at parse, 1 at filter")
 
 def _valid_argv(command: str, records: Path, tmp_path: Path) -> list[str]:
     """An argv for ``command`` that runs to exit 0 on the mini corpus."""
